@@ -71,6 +71,7 @@ from .perception import (  # noqa: F401
     load_scene,
     save_graph,
     save_scene,
+    synth_frame,
     synth_scene,
 )
 from .query import (  # noqa: F401

@@ -22,7 +22,7 @@ from .config import EngineConfig
 from .cot import ReasonPolicy, reason, reason_over_plan
 from .errors import EngineError, ParseError, SchemaVersionMismatch
 from .oracle import answer_from_truth, brick_tuples, truth_from_frame
-from .perception import build_graph, frame_from_structure, synth_scene, synth_structure
+from .perception import build_graph, frame_from_structure, synth_frame, synth_structure
 from .planner import replay
 from .query import QueryCategory
 from .questions import render_question
@@ -142,7 +142,7 @@ def gold_for_item(
             truth_bricks=brick_tuples(truth), target_bricks=brick_tuples(target),
         )
         return value, units
-    frame, _ = synth_scene(scene.seed, scene.n_objects)
+    frame = synth_frame(scene.seed, scene.n_objects)
     objects = truth_from_frame(frame)
     return answer_from_truth(
         category, objects, idx_a, idx_b, config.workspace, config.thresholds
@@ -183,7 +183,7 @@ def generate_dataset(
             continue
         n = rng.randint(3, 8)
         scene = SceneRef(scene_seed, n)
-        frame, _ = synth_scene(scene_seed, n)
+        frame = synth_frame(scene_seed, n)
         objects = truth_from_frame(frame)
         idx_a = rng.randrange(n)
         idx_b = None
@@ -281,7 +281,7 @@ class Report:
 
 def _evaluate_item(index: int, item: QaItem, config: EngineConfig, client) -> tuple[bool, str | None]:
     try:
-        frame, _ = synth_scene(item.scene.seed, item.scene.n_objects, item.scene.brick_mode)
+        frame = synth_frame(item.scene.seed, item.scene.n_objects, item.scene.brick_mode)
         graph = build_graph(frame.detections, frame.depths, thresholds=config.thresholds)
         target = None
         if "target" in item.params and item.params["target"] is not None:
@@ -382,12 +382,12 @@ def run_reassembly(
     rng = Random(f"reassembly-{seed}")
     n_bricks = rng.randint(1, max_bricks)
     target = random_structure(rng, n_bricks)
-    frame = frame_from_structure(
-        target, rgb_seed=seed, image_ref=f"reassembly://{seed}", drop_index=drop_detection
-    )
 
     stage = "perceive"
     try:
+        frame = frame_from_structure(
+            target, rgb_seed=seed, image_ref=f"reassembly://{seed}", drop_index=drop_detection
+        )
         graph = build_graph(frame.detections, frame.depths, thresholds=config.thresholds)
         rebuilt = from_graph(graph)
         stage = "describe"

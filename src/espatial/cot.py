@@ -1,10 +1,13 @@
 """Scene-grounded reasoning loop with per-step validation.
 
-The loop serializes the scene graph (plus workspace and optional target
-structure) into a line-oriented context, asks a client for step proposals in
-a constrained claim grammar, validates every step against the graph, and
-either answers, re-prompts with the violated rule, or abstains. The graph is
-the single source of truth during validation; the image is never re-read.
+The loop hands the scene graph (plus workspace and optional target
+structure) to a client, asks it for step proposals in a constrained claim
+grammar, validates every step against the graph, and either answers,
+re-prompts with the violated rule, or abstains. The graph is the single
+source of truth during validation; the image is never re-read. Clients that
+speak text, such as the remote client, serialize the graph into a
+line-oriented context themselves (:func:`build_context`); in-process clients
+read the graph directly.
 
 Claim grammar (whitespace-separated tokens):
 
@@ -14,9 +17,9 @@ Claim grammar (whitespace-separated tokens):
     structure equals target
     supported <x> <y> <layer> <w>x<l>
 
-The deterministic fallback client parses the context back into a graph and
-answers recognized question templates via the query module, so benchmarks
-run fully offline and reproducibly.
+The deterministic fallback client reads the graph and answers recognized
+question templates via the query module, so benchmarks run fully offline and
+reproducibly.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import json
 import os
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol
@@ -156,7 +157,14 @@ class LmClient(Protocol):
     name: str
     deterministic: bool
 
-    def submit(self, context: str, question: str, feedback: str | None = None) -> ClientReply: ...
+    def submit(
+        self,
+        question: str,
+        graph: SceneGraph,
+        workspace: WorkspaceEnvelope,
+        target: LegoStructure | None,
+        feedback: str | None = None,
+    ) -> ClientReply: ...
 
 
 # --- context serialization ----------------------------------------------------
@@ -433,16 +441,22 @@ def validate_step(
 # --- clients --------------------------------------------------------------------
 
 class FallbackReasoner:
-    """Deterministic offline client: parses the context back into a graph
-    and answers recognized question templates through the query module,
-    emitting only claims that hold so a single pass suffices."""
+    """Deterministic offline client: answers recognized question templates
+    over the graph it is handed through the query module, emitting only
+    claims that hold so a single pass suffices."""
 
     name = "fallback"
     deterministic = True
 
-    def submit(self, context: str, question: str, feedback: str | None = None) -> ClientReply:
+    def submit(
+        self,
+        question: str,
+        graph: SceneGraph,
+        workspace: WorkspaceEnvelope,
+        target: LegoStructure | None,
+        feedback: str | None = None,
+    ) -> ClientReply:
         del feedback  # deterministic: a retry would reproduce the same reply
-        graph, workspace, target = parse_context(context)
         parsed = parse_question(question)
         if parsed is None:
             return ClientReply((StepProposal("unparsed_question present"),))
@@ -503,7 +517,8 @@ class FallbackReasoner:
 
 
 class RemoteClient:
-    """Posts context and question to an external endpoint as plain JSON.
+    """Posts the question and the scene, rendered by :func:`build_context`,
+    to an external endpoint as plain JSON.
 
     Expected reply body: {"steps": [{"claim": str, "refs": [str, ...]}],
     "value": ..., "units": str | null}. Requests honor a bounded in-flight
@@ -520,9 +535,23 @@ class RemoteClient:
         self.timeout_s = timeout_s
         self._gate = threading.BoundedSemaphore(max_in_flight)
 
-    def submit(self, context: str, question: str, feedback: str | None = None) -> ClientReply:
+    def submit(
+        self,
+        question: str,
+        graph: SceneGraph,
+        workspace: WorkspaceEnvelope,
+        target: LegoStructure | None,
+        feedback: str | None = None,
+    ) -> ClientReply:
+        # imported here: only remote calls need the HTTP stack (ssl, http.client,
+        # email), which adds several MB of resident memory to every process
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({
-            "context": context, "question": question, "feedback": feedback,
+            "context": build_context(graph, workspace, target),
+            "question": question,
+            "feedback": feedback,
         }).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:
@@ -558,7 +587,6 @@ def reason(
     reproduce the same proposals. Abstention is an explicit answer value.
     """
     client = client or FallbackReasoner()
-    context = build_context(graph, workspace, target)
     attempts = 1 if getattr(client, "deterministic", False) else policy.max_retries + 1
 
     log: list[ReasoningStep] = []
@@ -566,7 +594,7 @@ def reason(
     feedback: str | None = None
     last_rule = "UnsupportedClaim"
     for attempt in range(attempts):
-        reply = client.submit(context, question, feedback)
+        reply = client.submit(question, graph, workspace, target, feedback)
         failed: ReasoningStep | None = None
         for prop in reply.steps:
             try:
@@ -596,7 +624,6 @@ def reason(
 def reason_over_plan(
     target: LegoStructure,
     graph: SceneGraph | None = None,
-    client: LmClient | None = None,
     workspace: WorkspaceEnvelope = DEFAULT_WORKSPACE,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[AssemblyPlan, tuple[ReasoningTrace, ...]]:
@@ -605,10 +632,9 @@ def reason_over_plan(
     Before each placement a support claim is validated against the current
     simulated graph; the graph then advances through the scene dynamics.
     The starting graph must contain only brick nodes (default: empty).
-    Ordering and validation are deterministic and graph-local, so the client
-    hook is not consulted here.
+    Ordering and validation are deterministic and graph-local, so no
+    reasoning client is consulted here.
     """
-    del client
     sim = graph if graph is not None else SceneGraph.empty("synthetic")
     commands = ordered_commands(target)
     traces: list[ReasoningTrace] = []

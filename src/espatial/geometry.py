@@ -13,11 +13,11 @@ emitted in both directions with equal magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Protocol, Sequence
 
-from .errors import InvalidDepth, InvalidPose
+from .errors import InvalidDepth, InvalidPose, ParseError
 
 
 class RelationKind(str, Enum):
@@ -212,6 +212,13 @@ class Thresholds:
     tau_iou: float = 0.10
     tau_adj: float = 0.02
 
+    def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+                raise ParseError(
+                    f"threshold must be a finite non-negative number, got {value!r}", field=name
+                )
+
     def to_dict(self) -> dict[str, float]:
         return {
             "tau_dir": self.tau_dir,
@@ -223,7 +230,18 @@ class Thresholds:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Thresholds":
-        return cls(**{k: float(v) for k, v in data.items()})
+        if not isinstance(data, dict):
+            raise ParseError("thresholds must be a JSON object", field="thresholds")
+        known = {f.name for f in fields(cls)}
+        values: dict[str, float] = {}
+        for key, value in data.items():
+            if key not in known:
+                raise ParseError("unknown threshold key", field=key)
+            try:
+                values[key] = float(value)
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"threshold is not a number: {value!r}", field=key) from e
+        return cls(**values)
 
 
 DEFAULT_THRESHOLDS = Thresholds()

@@ -13,8 +13,6 @@ import json
 import os
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -221,6 +219,11 @@ class RemoteBackend:
         self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def _post(self, op: str, payload: dict) -> dict:
+        # imported here: only remote calls need the HTTP stack (ssl, http.client,
+        # email), which adds several MB of resident memory to every process
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"op": op, **payload}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:
@@ -419,13 +422,8 @@ def synth_structure(seed: int, n_bricks: int) -> LegoStructure:
     return LegoStructure(tuple(bricks))
 
 
-def synth_scene(
-    seed: int,
-    n_objects: int,
-    brick_mode: bool = False,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> tuple[PerceptionFrame, SceneGraph]:
-    """Deterministic ground-truth scene plus its expected graph.
+def synth_frame(seed: int, n_objects: int, brick_mode: bool = False) -> PerceptionFrame:
+    """Deterministic ground-truth observation of a synthetic scene.
 
     In brick mode the scene is a rendered valid structure; otherwise objects
     get unique (color, noun) labels, random boxes, and depths in [0.4, 3.0].
@@ -434,26 +432,36 @@ def synth_scene(
         raise ValueError("n_objects must be non-negative")
     if brick_mode:
         structure = synth_structure(seed, n_objects)
-        frame = frame_from_structure(structure, rgb_seed=seed, image_ref=f"synthetic://{seed}")
-    else:
-        rng = Random(f"scene-{seed}")
-        combos = [(color, noun) for color in PALETTE for noun in _SYNTH_NOUNS]
-        chosen = rng.sample(combos, n_objects)
-        detections: list[DetectionRecord] = []
-        depths: list[float] = []
-        for color, noun in chosen:
-            width = rng.uniform(0.04, 0.22)
-            height = rng.uniform(0.04, 0.22)
-            cx = rng.uniform(0.02 + width / 2, 0.98 - width / 2)
-            cy = rng.uniform(0.02 + height / 2, 0.98 - height / 2)
-            detections.append(DetectionRecord(
-                label=f"{color_text(color)} {noun}",
-                bbox=Box.from_center(cx, cy, width, height),
-                rgb=_jitter_rgb(PALETTE[color], rng),
-                score=round(rng.uniform(0.5, 1.0), 3),
-            ))
-            depths.append(round(rng.uniform(0.4, 3.0), 4))
-        frame = PerceptionFrame(f"synthetic://{seed}", tuple(detections), tuple(depths))
+        return frame_from_structure(structure, rgb_seed=seed, image_ref=f"synthetic://{seed}")
+    rng = Random(f"scene-{seed}")
+    combos = [(color, noun) for color in PALETTE for noun in _SYNTH_NOUNS]
+    chosen = rng.sample(combos, n_objects)
+    detections: list[DetectionRecord] = []
+    depths: list[float] = []
+    for color, noun in chosen:
+        width = rng.uniform(0.04, 0.22)
+        height = rng.uniform(0.04, 0.22)
+        cx = rng.uniform(0.02 + width / 2, 0.98 - width / 2)
+        cy = rng.uniform(0.02 + height / 2, 0.98 - height / 2)
+        detections.append(DetectionRecord(
+            label=f"{color_text(color)} {noun}",
+            bbox=Box.from_center(cx, cy, width, height),
+            rgb=_jitter_rgb(PALETTE[color], rng),
+            score=round(rng.uniform(0.5, 1.0), 3),
+        ))
+        depths.append(round(rng.uniform(0.4, 3.0), 4))
+    return PerceptionFrame(f"synthetic://{seed}", tuple(detections), tuple(depths))
+
+
+def synth_scene(
+    seed: int,
+    n_objects: int,
+    brick_mode: bool = False,
+    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+) -> tuple[PerceptionFrame, SceneGraph]:
+    """Deterministic ground-truth scene (see :func:`synth_frame`) plus its
+    expected graph."""
+    frame = synth_frame(seed, n_objects, brick_mode)
     expected = build_graph(frame.detections, frame.depths, thresholds=thresholds,
                            provenance="synthetic")
     return frame, expected

@@ -398,23 +398,20 @@ def merge_edge_confidence(
 def update_relations(
     nodes: Iterable[ObjectNode],
     prev_edges: Iterable[RelationEdge],
-    action: Action | None = None,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[RelationEdge, ...]:
     """Full pairwise recomputation over the successor nodes.
 
     Previous edges are consulted only to preserve confidences of pairs whose
-    relation survived; the action argument is accepted for signature
-    completeness but full recomputation does not depend on it.
+    relation survived.
     """
-    del action
     return merge_edge_confidence(derive_all(tuple(nodes), thresholds), prev_edges)
 
 
 def apply_action(graph: SceneGraph, action: Action, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SceneGraph:
     """Successor graph under an agent action; deterministic, snapshotting."""
     nodes = update_node_states(graph, action)
-    edges = update_relations(nodes, graph.edges, action, thresholds)
+    edges = update_relations(nodes, graph.edges, thresholds)
     return SceneGraph(t=graph.t + 1, nodes=nodes, edges=edges, provenance=graph.provenance)
 
 
@@ -436,7 +433,7 @@ def apply_disturbance(
         nodes = tuple(moved if n.id == node.id else n for n in graph.nodes)
     else:
         raise ValueError(f"unhandled disturbance kind {k!r}")
-    edges = update_relations(nodes, graph.edges, None, thresholds)
+    edges = update_relations(nodes, graph.edges, thresholds)
     return SceneGraph(t=graph.t + 1, nodes=nodes, edges=edges, provenance=graph.provenance)
 
 
@@ -518,7 +515,7 @@ def graphs_equal_modulo_t(a: SceneGraph, b: SceneGraph) -> bool:
 
 def check_closure(graph: SceneGraph, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
     """True when the edge set equals full derivation (modulo confidence)."""
-    return update_relations(graph.nodes, graph.edges, None, thresholds) == graph.edges
+    return update_relations(graph.nodes, graph.edges, thresholds) == graph.edges
 
 
 # --- history -----------------------------------------------------------------

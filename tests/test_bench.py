@@ -118,6 +118,26 @@ class TestRunBench:
         b["config"].pop("workers")
         assert a == b
 
+    def test_one_graph_built_per_item(self, monkeypatch):
+        import espatial.bench
+        import espatial.perception
+
+        calls = []
+        real = espatial.perception.build_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(espatial.perception, "build_graph", counting)
+        monkeypatch.setattr(espatial.bench, "build_graph", counting)
+        ds = generate_dataset(21, 40)
+        assert {i.category for i in ds.items} == set(QueryCategory)
+        assert len(calls) == 0
+        report = run_bench(ds)
+        assert report.overall_accuracy == 1.0
+        assert len(calls) == len(ds.items)
+
 
 class TestScoring:
     def test_boolean_exact(self):
@@ -145,6 +165,13 @@ class TestReassembly:
             result = run_reassembly(seed, max_bricks=12)
             assert result.description_ok, f"seed {seed}: {result}"
             assert result.assembly_ok, f"seed {seed}: {result}"
+
+    def test_target_outside_frame_fails_at_perceive(self):
+        # seed 358 draws a brick past the stud frame's right edge
+        result = run_reassembly(seed=358, max_bricks=24)
+        assert result.stage_failed == "perceive"
+        assert result.error.startswith("InvalidPose")
+        assert not (result.description_ok or result.assembly_ok)
 
     def test_perception_dropout_detected(self):
         # drop one detection: the described structure can no longer match

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from espatial.cli import cli_dispatch
 from espatial.perception import save_scene, synth_scene
 
@@ -116,6 +118,23 @@ class TestBenchCommands:
         assert run_cli("reassembly", "--seed", "5", "--out", str(out_path)) == 0
         payload = json.loads(out_path.read_text())
         assert payload["description_ok"] and payload["assembly_ok"]
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("thresholds, field", [
+        ({"tau_bogus": 1}, "tau_bogus"),
+        ({"tau_dir": "nan"}, "tau_dir"),
+    ])
+    def test_bad_threshold_is_one_error_line(self, tmp_path, capsys, thresholds, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"thresholds": thresholds}))
+        ds_path = tmp_path / "ds.json"
+        code = run_cli("gen-dataset", "--seed", "1", "--n-items", "3",
+                       "--config", str(config_path), "--out", str(ds_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert not ds_path.exists()
 
 
 class TestGoldenReport:

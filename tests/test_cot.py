@@ -6,9 +6,17 @@ import json
 
 import pytest
 
-from espatial.bricks import BrickSpec, LegoStructure, PlacedBrick, equals, random_structure
+from espatial.bricks import (
+    BrickSpec,
+    LegoStructure,
+    PlacedBrick,
+    equals,
+    random_structure,
+    recolor_brick,
+)
 from espatial.cot import (
     ClientReply,
+    FallbackReasoner,
     StepProposal,
     StepStatus,
     build_context,
@@ -20,9 +28,9 @@ from espatial.cot import (
     validate_step,
 )
 from espatial.errors import ClaimGrammarError, PlanValidationFailure
-from espatial.perception import build_graph, frame_from_structure, synth_scene
+from espatial.perception import build_graph, frame_from_structure, synth_scene, synth_structure
 from espatial.planner import replay
-from espatial.query import QueryCategory, SpatialQuery, answer
+from espatial.query import DEFAULT_WORKSPACE, QueryCategory, SpatialQuery, WorkspaceEnvelope, answer
 from espatial.questions import render_question
 from espatial.scene import SceneGraph
 
@@ -226,7 +234,7 @@ class TestReason:
             def __init__(self):
                 self.calls = 0
 
-            def submit(self, context, question, feedback=None):
+            def submit(self, question, graph, workspace, target, feedback=None):
                 self.calls += 1
                 if self.calls == 1:
                     return ClientReply((StepProposal("a right_of b"),), value=False)
@@ -238,6 +246,38 @@ class TestReason:
         assert got.value is True
         assert client.calls == 2
         assert trace.retries == 1
+
+
+class TestFallbackTextBoundary:
+    """The fallback reads the graph directly; a text client gets the same
+    scene only if the context parses back to it, so both must reply alike."""
+
+    WORKSPACES = (DEFAULT_WORKSPACE, WorkspaceEnvelope((0.1, -0.05, 0.3), 1.1, 0.2))
+
+    def test_reply_from_parsed_context_equals_reply_from_graph(self, rng):
+        client = FallbackReasoner()
+        answered: dict[QueryCategory, set] = {c: set() for c in QueryCategory}
+        for seed in range(6):
+            for brick_mode in (False, True):
+                _, g = synth_scene(seed, 5, brick_mode=brick_mode)
+                targets = [None]
+                if brick_mode:
+                    truth = synth_structure(seed, 5)
+                    targets = [truth, recolor_brick(truth, rng)]
+                labels = [n.label for n in g.nodes]
+                for category in QueryCategory:
+                    question = render_question(category, labels[seed % 5], labels[(seed + 2) % 5])
+                    for workspace in self.WORKSPACES:
+                        for target in targets:
+                            direct = client.submit(question, g, workspace, target)
+                            via_text = client.submit(
+                                question, *parse_context(build_context(g, workspace, target))
+                            )
+                            assert via_text == direct, (seed, brick_mode, category)
+                            answered[category].add(repr(direct.value))
+        # every category produced a real answer somewhere, not only abstentions
+        assert all(values - {"None"} for values in answered.values()), answered
+        assert {"True", "False"} <= answered[QueryCategory.SUCCESS_JUDGMENT]
 
 
 def _ref_exists(ref, graph):
@@ -309,10 +349,14 @@ class TestRemoteClient:
         })
         try:
             client = RemoteClient(f"http://127.0.0.1:{server.server_port}/")
-            reply = client.submit("ctx", "a question?")
+            g = two_node_graph()
+            workspace = WorkspaceEnvelope((0.1, 0.0, 0.2), 1.2, 0.05)
+            target = LegoStructure.of(PlacedBrick(BrickSpec("red", (1, 1)), (0, 0), 0))
+            reply = client.submit("a question?", g, workspace, target)
             assert reply.value is True
             assert reply.steps == (StepProposal("a present", ("a",)),)
             assert handler.last_request["question"] == "a question?"
+            assert handler.last_request["context"] == build_context(g, workspace, target)
         finally:
             server.shutdown()
 
@@ -341,7 +385,7 @@ class TestRemoteClient:
 
         client = RemoteClient("http://127.0.0.1:9/never", timeout_s=0.2)
         with pytest.raises(BackendUnavailable):
-            client.submit("ctx", "q")
+            client.submit("q", two_node_graph(), DEFAULT_WORKSPACE, None)
 
 
 class TestReasonOverPlan:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from espatial.errors import InvalidDepth, InvalidPose
+from espatial.errors import InvalidDepth, InvalidPose, ParseError
 from espatial.geometry import (
     DEFAULT_THRESHOLDS,
     DUALS,
@@ -228,6 +228,18 @@ class TestDerivePairwise:
         assert ("a", "b", "left_of") not in edge_keys(wide)
         narrow = derive_pairwise(a, b, Thresholds(tau_dir=0.01))
         assert ("a", "b", "left_of") in edge_keys(narrow)
+
+    @pytest.mark.parametrize("bad", [
+        {"tau_dir": float("nan")}, {"tau_near_m": float("inf")}, {"tau_adj": -0.01},
+    ])
+    def test_thresholds_reject_non_finite_or_negative(self, bad):
+        with pytest.raises(ParseError):
+            Thresholds(**bad)
+
+    def test_thresholds_from_dict_names_unknown_key(self):
+        with pytest.raises(ParseError) as err:
+            Thresholds.from_dict({"tau_dir": 0.1, "tau_bogus": 1})
+        assert err.value.field == "tau_bogus"
 
 
 class TestDeriveAll:

@@ -97,7 +97,7 @@ class TestUpdateRelations:
         nodes = (make_node("a", 0.5, 0.5), make_node("b", 0.5, 0.5))
         fresh = update_relations(nodes, ())
         tweaked = tuple(e.with_confidence(0.7) for e in fresh)
-        again = update_relations(nodes, tweaked, Action.noop())
+        again = update_relations(nodes, tweaked)
         assert again == tweaked
 
     def test_matches_brute_force_after_move(self, rng):
