@@ -58,15 +58,8 @@ from .planner import (  # noqa: F401
 )
 from .perception import (  # noqa: F401
     DetectionRecord,
-    EntityQueue,
-    FileBackend,
     PerceptionFrame,
-    RemoteBackend,
-    SyntheticBackend,
     build_graph,
-    detect,
-    estimate_depth,
-    extract_entities,
     load_graph,
     load_scene,
     save_graph,
@@ -80,7 +73,6 @@ from .query import (  # noqa: F401
     SpatialQuery,
     WorkspaceEnvelope,
     answer,
-    batch_answer,
 )
 from .cot import (  # noqa: F401
     FallbackReasoner,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -184,18 +183,16 @@ def generate_dataset(
         n = rng.randint(3, 8)
         scene = SceneRef(scene_seed, n)
         frame = synth_frame(scene_seed, n)
-        objects = truth_from_frame(frame)
+        # oracle ids rank objects by (label, x_min, y_min) and labels are unique
+        labels = sorted(d.label for d in frame.detections)
         idx_a = rng.randrange(n)
         idx_b = None
         if category in (QueryCategory.ADJACENCY, QueryCategory.DISTANCE,
                         QueryCategory.OVERLAP, QueryCategory.DIRECTION):
             idx_b = rng.choice([i for i in range(n) if i != idx_a])
         value, units = gold_for_item(category, scene, idx_a, idx_b, None, config)
-        label_a = frame.detections[_frame_index(frame, objects[idx_a].name)].label
-        label_b = (
-            frame.detections[_frame_index(frame, objects[idx_b].name)].label
-            if idx_b is not None else None
-        )
+        label_a = labels[idx_a]
+        label_b = labels[idx_b] if idx_b is not None else None
         items.append(QaItem(
             question=render_question(category, label_a, label_b),
             category=category,
@@ -214,18 +211,6 @@ def generate_dataset(
             "workspace": config.workspace.to_dict(),
         },
     )
-
-
-def _frame_index(frame, truth_name: str) -> int:
-    """Map an oracle object name (rank in sorted order) back to its frame
-    detection index."""
-    rank = int(truth_name.removeprefix("obj"))
-    order = sorted(
-        range(len(frame.detections)),
-        key=lambda i: (frame.detections[i].label, frame.detections[i].bbox.x_min,
-                       frame.detections[i].bbox.y_min),
-    )
-    return order[rank]
 
 
 # --- scoring and the runner ---------------------------------------------------
@@ -304,16 +289,7 @@ def run_bench(dataset: QaDataset, config: EngineConfig | None = None, client=Non
     client = client or config.make_client()
     started = time.perf_counter()
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda pair: _evaluate_item(pair[0], pair[1], config, client),
-                enumerate(dataset.items),
-            ))
-    else:
-        results = [
-            _evaluate_item(i, item, config, client) for i, item in enumerate(dataset.items)
-        ]
+    results = [_evaluate_item(i, item, config, client) for i, item in enumerate(dataset.items)]
 
     per_category: dict[str, dict] = {}
     failures: list[dict] = []

@@ -1,15 +1,17 @@
-"""Engine configuration: thresholds, workspace envelope, backend selection.
+"""Engine configuration: thresholds, workspace envelope, reasoning backend,
+retry budget.
 
-The config file is JSON; every report echoes the resolved configuration so a
-run is reproducible from its report alone. The remote endpoint and token may
-come from the environment (ESPATIAL_ENDPOINT / ESPATIAL_TOKEN).
+The config file is JSON and an unknown key is an error; every report echoes
+the resolved configuration so a run is reproducible from its report alone.
+The remote endpoint and token may come from the environment
+(ESPATIAL_ENDPOINT / ESPATIAL_TOKEN).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
@@ -27,14 +29,10 @@ class EngineConfig:
     backend: str = "fallback"  # fallback | remote
     remote_endpoint: str | None = None
     max_retries: int = 2
-    workers: int = 1
-    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.backend not in ("fallback", "remote"):
             raise ParseError(f"unknown backend {self.backend!r}", field="backend")
-        if self.workers < 1:
-            raise ParseError("workers must be >= 1", field="workers")
 
     def resolve_endpoint(self) -> str | None:
         return self.remote_endpoint or os.environ.get(ENDPOINT_ENV)
@@ -51,7 +49,7 @@ class EngineConfig:
             raise BackendUnavailable(
                 f"remote backend selected but no endpoint configured ({ENDPOINT_ENV} unset)"
             )
-        return RemoteClient(endpoint, max_in_flight=self.max_in_flight)
+        return RemoteClient(endpoint)
 
     def to_dict(self) -> dict:
         return {
@@ -60,20 +58,24 @@ class EngineConfig:
             "backend": self.backend,
             "remote_endpoint": self.remote_endpoint,
             "max_retries": self.max_retries,
-            "workers": self.workers,
-            "max_in_flight": self.max_in_flight,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ParseError("unknown config key", field=key)
+        try:
+            max_retries = int(data.get("max_retries", 2))
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"not an integer: {e}", field="max_retries") from e
         return cls(
             thresholds=Thresholds.from_dict(data.get("thresholds", {})),
             workspace=WorkspaceEnvelope.from_dict(data.get("workspace", {})),
             backend=data.get("backend", "fallback"),
             remote_endpoint=data.get("remote_endpoint"),
-            max_retries=int(data.get("max_retries", 2)),
-            workers=int(data.get("workers", 1)),
-            max_in_flight=int(data.get("max_in_flight", 4)),
+            max_retries=max_retries,
         )
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol
@@ -521,19 +520,17 @@ class RemoteClient:
     to an external endpoint as plain JSON.
 
     Expected reply body: {"steps": [{"claim": str, "refs": [str, ...]}],
-    "value": ..., "units": str | null}. Requests honor a bounded in-flight
-    limit; failures raise BackendUnavailable.
+    "value": ..., "units": str | null}. Each call makes one blocking request;
+    failures raise BackendUnavailable.
     """
 
     name = "remote"
     deterministic = False
 
-    def __init__(self, endpoint: str, token: str | None = None,
-                 timeout_s: float = 10.0, max_in_flight: int = 4):
+    def __init__(self, endpoint: str, token: str | None = None, timeout_s: float = 10.0):
         self.endpoint = endpoint
         self.token = token if token is not None else os.environ.get("ESPATIAL_TOKEN")
         self.timeout_s = timeout_s
-        self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def submit(
         self,
@@ -557,12 +554,11 @@ class RemoteClient:
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         request = urllib.request.Request(self.endpoint, data=body, headers=headers)
-        with self._gate:
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-            except (urllib.error.URLError, OSError, ValueError) as e:
-                raise BackendUnavailable(f"reasoning via {self.endpoint}: {e}") from e
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                payload = json.loads(response.read().decode("utf-8"))
+        except (urllib.error.URLError, OSError, ValueError) as e:
+            raise BackendUnavailable(f"reasoning via {self.endpoint}: {e}") from e
         steps = tuple(
             StepProposal(s["claim"], tuple(s.get("refs", ()))) for s in payload.get("steps", ())
         )

@@ -34,10 +34,6 @@ class InvalidDepth(EngineError):
 
 # --- perception and file I/O ----------------------------------------------
 
-class EmptyQuestion(EngineError):
-    """Entity extraction requires a non-empty question."""
-
-
 class MisalignedInputs(EngineError):
     """Detections and depth samples must be the same length."""
 
@@ -49,6 +45,7 @@ class ParseError(EngineError):
     """
 
     def __init__(self, message: str, *, field: str | None = None, line: int | None = None):
+        self.message = message
         self.field = field
         self.line = line
         where = []
@@ -58,6 +55,11 @@ class ParseError(EngineError):
             where.append(f"line {line}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(f"{message}{suffix}")
+
+    def within(self, path: str) -> "ParseError":
+        """The same error with its field path nested under ``path``."""
+        field = f"{path}.{self.field}" if self.field else path
+        return ParseError(self.message, field=field, line=self.line)
 
 
 class SchemaVersionMismatch(EngineError):

@@ -252,7 +252,7 @@ class RelationEdge:
     """Typed spatial relation between two nodes.
 
     Magnitude units follow :func:`magnitude_units` for the kind. Confidence
-    defaults to certain; perception backends may lower it.
+    defaults to certain; a loaded graph may carry a lower one forward.
     """
 
     subject_id: str

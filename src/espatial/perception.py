@@ -1,22 +1,18 @@
-"""Perception frontend: entity extraction, detection, depth, and scene I/O.
+"""Perception frontend: observation records, graph construction, and scene I/O.
 
-Backends abstract the perception models. The synthetic backend returns
-ground truth embedded in the frame, the file backend serves pre-recorded
-detections, and the optional remote backend posts to an external endpoint.
-The deterministic fallback entity extractor tokenizes a question and matches
-against a noun lexicon plus palette colors and brick footprints.
+A frame holds labelled detections with aligned depth samples. Frames come
+from the deterministic synthetic generators here or from scene files saved
+with :func:`save_scene`; :func:`build_graph` turns one into a scene graph.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .bricks import (
     DEFAULT_STUD_FRAME,
@@ -26,14 +22,7 @@ from .bricks import (
     node_footprint,
     random_structure,
 )
-from .errors import (
-    BackendUnavailable,
-    EmptyQuestion,
-    InvalidDepth,
-    MisalignedInputs,
-    ParseError,
-    SchemaVersionMismatch,
-)
+from .errors import InvalidDepth, MisalignedInputs, ParseError, SchemaVersionMismatch
 from .geometry import DEFAULT_THRESHOLDS, PALETTE, Box, Thresholds, classify_color, color_text
 from .scene import ObjectNode, SceneGraph, merge_edge_confidence, size_class_for_box
 from .geometry import derive_all
@@ -77,36 +66,8 @@ class PerceptionFrame:
                 raise InvalidDepth(f"depth {d!r} must be positive")
 
 
-@dataclass(frozen=True)
-class EntityQueue:
-    """Entity labels ordered by decreasing relevance; rank is the position."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ParseError("duplicate labels in entity queue", field="labels")
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self):
-        return len(self.labels)
-
-
-# --- deterministic fallback extraction --------------------------------------
-
-_NOUNS = frozenset({
-    "block", "brick", "cube", "ball", "box", "bottle", "cup", "plate",
-    "mug", "can", "book", "bowl", "structure", "tower", "piece", "object",
-})
-
 _FOOTPRINT_TOKEN = re.compile(r"^\d+[x×]\d+$")
 _TOKEN = re.compile(r"[0-9a-zA-Z×]+")
-
-# Single-word color modifiers: palette entries plus the base hues of
-# multi-word entries ("blue" from light_blue/dark_blue).
-_COLOR_WORDS = frozenset(PALETTE) | {name.rsplit("_", 1)[-1] for name in PALETTE if "_" in name}
 
 
 def _normalize_token(token: str) -> str:
@@ -115,164 +76,6 @@ def _normalize_token(token: str) -> str:
 
 def normalize_label(label: str) -> str:
     return " ".join(_normalize_token(t) for t in _TOKEN.findall(label))
-
-
-def fallback_extract(question: str) -> EntityQueue:
-    """Lexicon-driven extraction: noun phrases with optional color and
-    footprint modifiers, ranked by first occurrence."""
-    tokens = [_normalize_token(t) for t in _TOKEN.findall(question)]
-    phrases: list[str] = []
-    for i, token in enumerate(tokens):
-        if token not in _NOUNS:
-            continue
-        parts = [token]
-        j = i - 1
-        if j >= 0 and _FOOTPRINT_TOKEN.match(tokens[j]):
-            parts.insert(0, tokens[j])
-            j -= 1
-        if j >= 1 and f"{tokens[j - 1]}_{tokens[j]}" in PALETTE:
-            parts.insert(0, f"{tokens[j - 1]} {tokens[j]}")
-            j -= 2
-        elif j >= 0 and tokens[j] in _COLOR_WORDS:
-            parts.insert(0, tokens[j])
-            j -= 1
-        phrase = " ".join(parts)
-        if phrase not in phrases:
-            phrases.append(phrase)
-    return EntityQueue(tuple(phrases))
-
-
-def _label_matches(entity: str, label: str) -> bool:
-    entity_tokens = set(normalize_label(entity).split())
-    label_tokens = set(normalize_label(label).split())
-    return entity_tokens <= label_tokens
-
-
-# --- backends ----------------------------------------------------------------
-
-class PerceptionBackend(Protocol):
-    name: str
-
-    def extract_entities(self, question: str) -> EntityQueue: ...
-
-    def detect(self, entities: EntityQueue, frame: PerceptionFrame) -> tuple[DetectionRecord, ...]: ...
-
-    def estimate_depth(self, frame: PerceptionFrame) -> tuple[float, ...]: ...
-
-
-class _GroundTruthBackend:
-    """Shared behavior for backends that read truth straight off the frame."""
-
-    name = "ground_truth"
-
-    def extract_entities(self, question: str) -> EntityQueue:
-        return fallback_extract(question)
-
-    def detect(self, entities: EntityQueue, frame: PerceptionFrame) -> tuple[DetectionRecord, ...]:
-        if not len(entities):
-            return frame.detections
-        picked: list[DetectionRecord] = []
-        seen: set[int] = set()
-        for entity in entities:
-            for idx, record in enumerate(frame.detections):
-                if idx not in seen and _label_matches(entity, record.label):
-                    picked.append(record)
-                    seen.add(idx)
-        return tuple(picked)
-
-    def estimate_depth(self, frame: PerceptionFrame) -> tuple[float, ...]:
-        return frame.depths
-
-
-class SyntheticBackend(_GroundTruthBackend):
-    name = "synthetic"
-
-
-class FileBackend(_GroundTruthBackend):
-    """Serves frames saved with :func:`save_scene`."""
-
-    name = "file"
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path else None
-
-    def load(self) -> PerceptionFrame:
-        if self.path is None:
-            raise BackendUnavailable("file backend has no path configured")
-        return load_scene(self.path)
-
-
-class RemoteBackend:
-    """Posts perception requests to an external model endpoint.
-
-    Never required by tests or the deterministic pipeline; requests respect
-    a bounded in-flight limit.
-    """
-
-    name = "remote"
-
-    def __init__(self, endpoint: str, token: str | None = None,
-                 timeout_s: float = 10.0, max_in_flight: int = 4):
-        self.endpoint = endpoint
-        self.token = token if token is not None else os.environ.get("ESPATIAL_TOKEN")
-        self.timeout_s = timeout_s
-        self._gate = threading.BoundedSemaphore(max_in_flight)
-
-    def _post(self, op: str, payload: dict) -> dict:
-        # imported here: only remote calls need the HTTP stack (ssl, http.client,
-        # email), which adds several MB of resident memory to every process
-        import urllib.error
-        import urllib.request
-
-        body = json.dumps({"op": op, **payload}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(self.endpoint, data=body, headers=headers)
-        with self._gate:
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except (urllib.error.URLError, OSError, ValueError) as e:
-                raise BackendUnavailable(f"{op} via {self.endpoint}: {e}") from e
-
-    def extract_entities(self, question: str) -> EntityQueue:
-        reply = self._post("extract_entities", {"question": question})
-        return EntityQueue(tuple(reply["labels"]))
-
-    def detect(self, entities: EntityQueue, frame: PerceptionFrame) -> tuple[DetectionRecord, ...]:
-        reply = self._post("detect", {
-            "labels": list(entities), "image_ref": frame.image_ref,
-        })
-        return tuple(
-            DetectionRecord(d["label"], Box(*d["bbox"]), tuple(d["rgb"]), d["score"])
-            for d in reply["detections"]
-        )
-
-    def estimate_depth(self, frame: PerceptionFrame) -> tuple[float, ...]:
-        reply = self._post("estimate_depth", {"image_ref": frame.image_ref})
-        return tuple(float(v) for v in reply["depths"])
-
-
-_DEFAULT_BACKEND = SyntheticBackend()
-
-
-# --- pipeline operations -------------------------------------------------------
-
-def extract_entities(question: str, backend: PerceptionBackend | None = None) -> EntityQueue:
-    if not question or not question.strip():
-        raise EmptyQuestion("question must be non-empty")
-    return (backend or _DEFAULT_BACKEND).extract_entities(question)
-
-
-def detect(entities: EntityQueue, frame: PerceptionFrame,
-           backend: PerceptionBackend | None = None) -> tuple[DetectionRecord, ...]:
-    return (backend or _DEFAULT_BACKEND).detect(entities, frame)
-
-
-def estimate_depth(frame: PerceptionFrame,
-                   backend: PerceptionBackend | None = None) -> tuple[float, ...]:
-    return (backend or _DEFAULT_BACKEND).estimate_depth(frame)
 
 
 _MATCH_RADIUS = 0.15  # normalized; node identity matching across steps

@@ -7,12 +7,13 @@ elements or workspace parameters it rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .bricks import LegoStructure, equals, first_mismatch, from_graph
-from .errors import CategoryParamMismatch, EngineError, UnknownNodeId, UnresolvedReference
+from .errors import CategoryParamMismatch, ParseError, UnknownNodeId, UnresolvedReference
 from .geometry import (
     DEFAULT_THRESHOLDS,
     DIRECTIONAL_KINDS,
@@ -44,6 +45,10 @@ BINARY_CATEGORIES = frozenset({
 UNARY_CATEGORIES = frozenset({QueryCategory.REACHABILITY, QueryCategory.ARM_FEASIBILITY})
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class WorkspaceEnvelope:
     """Annulus reach model around the robot base, in camera-frame meters."""
@@ -53,6 +58,11 @@ class WorkspaceEnvelope:
     min_reach_m: float = 0.1
 
     def __post_init__(self):
+        if len(self.base3) != 3 or not all(_finite(v) for v in self.base3):
+            raise ParseError(f"base3 must be 3 finite numbers, got {self.base3!r}", field="base3")
+        for name in ("reach_m", "min_reach_m"):
+            if not _finite(getattr(self, name)):
+                raise ParseError(f"{name} must be a finite number", field=name)
         if not (0.0 <= self.min_reach_m < self.reach_m):
             raise CategoryParamMismatch(
                 f"need 0 <= min_reach ({self.min_reach_m}) < reach ({self.reach_m})"
@@ -63,11 +73,16 @@ class WorkspaceEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkspaceEnvelope":
-        return cls(
-            base3=tuple(float(v) for v in data.get("base3", (0.0, 0.0, 0.0))),
-            reach_m=float(data.get("reach_m", 1.5)),
-            min_reach_m=float(data.get("min_reach_m", 0.1)),
-        )
+        if not isinstance(data, dict):
+            raise ParseError("workspace must be a JSON object", field="workspace")
+        try:
+            return cls(
+                base3=tuple(float(v) for v in data.get("base3", (0.0, 0.0, 0.0))),
+                reach_m=float(data.get("reach_m", 1.5)),
+                min_reach_m=float(data.get("min_reach_m", 0.1)),
+            )
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"workspace value is not a number: {e}", field="workspace") from e
 
 
 DEFAULT_WORKSPACE = WorkspaceEnvelope()
@@ -125,7 +140,7 @@ class SpatialQuery:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpatialQuery":
-        from .errors import ParseError, SchemaVersionMismatch
+        from .errors import SchemaVersionMismatch
 
         schema = data.get("schema")
         if schema != QUERY_SCHEMA:
@@ -296,19 +311,3 @@ def answer(
 
     raise CategoryParamMismatch(f"unhandled category {category!r}")
 
-
-def batch_answer(
-    queries: Iterable[SpatialQuery],
-    graph: SceneGraph,
-    workspace: WorkspaceEnvelope = DEFAULT_WORKSPACE,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> list[Answer]:
-    """Order-preserving batch evaluation; per-item errors become error
-    answers instead of aborting the batch."""
-    results: list[Answer] = []
-    for q in queries:
-        try:
-            results.append(answer(q, graph, workspace, thresholds))
-        except EngineError as e:
-            results.append(Answer(value=None, error=f"{type(e).__name__}: {e}"))
-    return results

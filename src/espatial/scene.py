@@ -114,17 +114,22 @@ class ObjectNode:
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectNode":
         try:
+            bbox = data["bbox"]
+            if not isinstance(bbox, list) or len(bbox) != 4:
+                raise ParseError(f"bbox must be 4 numbers, got {bbox!r}", field="bbox")
             return cls(
                 id=data["id"],
                 label=data["label"],
                 color=data["color"],
-                bbox=Box(*(float(v) for v in data["bbox"])),
+                bbox=Box(*(float(v) for v in bbox)),
                 depth_m=float(data["depth_m"]),
                 size_class=data.get("size_class", ""),
                 attributes=data.get("attributes", {}),
             )
         except KeyError as e:
             raise ParseError(f"node missing {e.args[0]!r}", field=e.args[0]) from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad node value: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -226,20 +231,41 @@ class SceneGraph:
         if schema != GRAPH_SCHEMA:
             raise SchemaVersionMismatch(schema, GRAPH_SCHEMA)
         try:
-            nodes = tuple(ObjectNode.from_dict(n) for n in data["nodes"])
-            edges = tuple(
-                RelationEdge(
-                    e["subject"], e["object"], RelationKind(e["kind"]),
-                    float(e["magnitude"]), float(e.get("confidence", 1.0)),
-                )
-                for e in data["edges"]
-            )
+            nodes = _parse_list(data, "nodes", ObjectNode.from_dict)
+            edges = _parse_list(data, "edges", _edge_from_dict)
             return cls(t=int(data["t"]), nodes=nodes, edges=edges,
                        provenance=data.get("provenance", "file"))
         except KeyError as e:
             raise ParseError(f"graph missing {e.args[0]!r}", field=e.args[0]) from e
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ParseError(f"bad graph value: {e}") from e
+
+
+def _edge_from_dict(data: dict) -> RelationEdge:
+    try:
+        return RelationEdge(
+            data["subject"], data["object"], RelationKind(data["kind"]),
+            float(data["magnitude"]), float(data.get("confidence", 1.0)),
+        )
+    except KeyError as e:
+        raise ParseError(f"edge missing {e.args[0]!r}", field=e.args[0]) from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad edge value: {e}") from e
+
+
+def _parse_list(data: dict, key: str, parse) -> tuple:
+    """Parse the JSON list ``data[key]`` item by item; an error names the
+    item's field path, e.g. ``nodes[0].bbox``."""
+    items = data[key]
+    if not isinstance(items, list):
+        raise ParseError(f"expected a JSON list, got {items!r}", field=key)
+    parsed = []
+    for i, item in enumerate(items):
+        try:
+            parsed.append(parse(item))
+        except ParseError as e:
+            raise e.within(f"{key}[{i}]") from e
+    return tuple(parsed)
 
 
 # --- events ----------------------------------------------------------------

@@ -108,16 +108,6 @@ class TestRunBench:
         assert first.body_without_wallclock() == second.body_without_wallclock()
         assert first.to_json() != ""  # wall clock present in the full body
 
-    def test_worker_pool_matches_sequential(self):
-        ds = generate_dataset(19, 30)
-        sequential = run_bench(ds, EngineConfig())
-        pooled = run_bench(ds, EngineConfig(workers=4))
-        a = json.loads(sequential.body_without_wallclock())
-        b = json.loads(pooled.body_without_wallclock())
-        a["config"].pop("workers")
-        b["config"].pop("workers")
-        assert a == b
-
     def test_one_graph_built_per_item(self, monkeypatch):
         import espatial.bench
         import espatial.perception

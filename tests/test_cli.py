@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from espatial.cli import cli_dispatch
+from espatial.config import EngineConfig
 from espatial.perception import save_scene, synth_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,21 +121,67 @@ class TestBenchCommands:
         assert payload["description_ok"] and payload["assembly_ok"]
 
 
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
 class TestConfigBoundary:
+    @staticmethod
+    def gen_dataset(tmp_path, config) -> int:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        return run_cli("gen-dataset", "--seed", "1", "--n-items", "3",
+                       "--config", str(config_path), "--out", str(tmp_path / "ds.json"))
+
     @pytest.mark.parametrize("thresholds, field", [
         ({"tau_bogus": 1}, "tau_bogus"),
         ({"tau_dir": "nan"}, "tau_dir"),
     ])
     def test_bad_threshold_is_one_error_line(self, tmp_path, capsys, thresholds, field):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"thresholds": thresholds}))
-        ds_path = tmp_path / "ds.json"
-        code = run_cli("gen-dataset", "--seed", "1", "--n-items", "3",
-                       "--config", str(config_path), "--out", str(ds_path))
+        assert self.gen_dataset(tmp_path, {"thresholds": thresholds}) == 1
+        assert_one_error_line(capsys, field)
+        assert not (tmp_path / "ds.json").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"workers": 4}, "workers"),
+        ({"max_in_flight": 8}, "max_in_flight"),
+        ({"workspace": {"base3": [0, 0]}}, "base3"),
+        ({"workspace": {"base3": [0, 0, "inf"]}}, "base3"),
+        ({"workspace": {"reach_m": "nan"}}, "reach_m"),
+        ({"max_retries": [1]}, "max_retries"),
+    ], ids=["workers", "max_in_flight", "base3_of_two", "base3_infinite", "reach_nan",
+            "max_retries_list"])
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, config, field):
+        assert self.gen_dataset(tmp_path, config) == 1
+        assert_one_error_line(capsys, field)
+        assert not (tmp_path / "ds.json").exists()
+
+    def test_golden_config_echo_loads_back(self):
+        # a run must be reproducible from its report alone
+        golden = json.loads((FIXTURES / "report_golden.json").read_text())
+        assert EngineConfig.from_dict(golden["config"]) == EngineConfig()
+
+
+class TestGraphBoundary:
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda g: g.update(nodes="oops"), "nodes"),
+        (lambda g: g["nodes"][0].update(bbox=[0.1, 0.1, 0.2]), "nodes[0].bbox"),
+    ], ids=["nodes_not_a_list", "bbox_of_three"])
+    def test_malformed_graph_is_one_error_line(self, tmp_path, capsys, mutate, field):
+        _, graph = synth_scene(43, 4)
+        payload = graph.to_dict()
+        mutate(payload)
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(payload))
+        code = run_cli("query", "--graph", str(graph_path),
+                       "--question", "Can the robot reach the red ball?")
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
-        assert not ds_path.exists()
+        assert_one_error_line(capsys, repr(field))
 
 
 class TestGoldenReport:

@@ -1,4 +1,4 @@
-"""Perception pipeline: extraction, detection, graph construction, file I/O."""
+"""Perception: graph construction, synthetic scenes, file I/O."""
 
 from __future__ import annotations
 
@@ -6,25 +6,11 @@ import json
 
 import pytest
 
-from espatial.errors import (
-    BackendUnavailable,
-    EmptyQuestion,
-    MisalignedInputs,
-    ParseError,
-    SchemaVersionMismatch,
-)
+from espatial.errors import MisalignedInputs, ParseError, SchemaVersionMismatch
 from espatial.geometry import Box
 from espatial.perception import (
     DetectionRecord,
-    EntityQueue,
-    FileBackend,
-    PerceptionFrame,
-    RemoteBackend,
-    SyntheticBackend,
     build_graph,
-    detect,
-    estimate_depth,
-    extract_entities,
     load_graph,
     load_scene,
     save_graph,
@@ -36,85 +22,6 @@ from espatial.scene import SceneGraph
 
 def det(label, x0=0.1, y0=0.1, x1=0.3, y1=0.3, rgb=(196, 40, 27), score=0.9):
     return DetectionRecord(label, Box(x0, y0, x1, y1), rgb, score)
-
-
-class TestExtractEntities:
-    def test_empty_question_rejected(self):
-        with pytest.raises(EmptyQuestion):
-            extract_entities("")
-        with pytest.raises(EmptyQuestion):
-            extract_entities("   ")
-
-    def test_two_entity_question(self):
-        queue = extract_entities("Is the red 1×1 block left of the blue block?")
-        assert queue.labels == ("red 1x1 block", "blue block")
-
-    def test_placement_command_question(self):
-        queue = extract_entities("place the red 1×1 block at position (2, 0)")
-        assert queue.labels == ("red 1x1 block",)
-
-    def test_multiword_color(self):
-        queue = extract_entities("Is the light blue brick near the dark blue brick?")
-        assert queue.labels == ("light blue brick", "dark blue brick")
-
-    def test_deduplicates_preserving_rank(self):
-        queue = extract_entities("the green cup next to the green cup")
-        assert queue.labels == ("green cup",)
-
-    def test_deterministic(self):
-        q = "Where is the yellow ball relative to the gray box?"
-        assert extract_entities(q) == extract_entities(q)
-
-
-class TestDetect:
-    def frame(self):
-        records = (
-            det("red block", 0.1, 0.1, 0.2, 0.2),
-            det("green block", 0.4, 0.4, 0.5, 0.5, rgb=(40, 127, 70)),
-            det("green block", 0.7, 0.7, 0.8, 0.8, rgb=(40, 127, 70)),
-        )
-        return PerceptionFrame("mem://f", records, (1.0, 1.2, 1.4))
-
-    def test_empty_queue_returns_all_in_order(self):
-        frame = self.frame()
-        assert detect(EntityQueue(()), frame) == frame.detections
-
-    def test_filters_to_matching_record(self):
-        frame = self.frame()
-        out = detect(EntityQueue(("red block",)), frame)
-        assert [d.label for d in out] == ["red block"]
-
-    def test_priority_order(self):
-        frame = self.frame()
-        out = detect(EntityQueue(("green block", "red block")), frame)
-        assert [d.label for d in out] == ["green block", "green block", "red block"]
-
-    def test_absent_label_is_vacuous(self):
-        assert detect(EntityQueue(("purple dragon",)), self.frame()) == ()
-
-
-class TestEstimateDepth:
-    def test_passthrough(self):
-        frame = self.make()
-        assert estimate_depth(frame) == frame.depths
-
-    def test_empty(self):
-        assert estimate_depth(PerceptionFrame("mem://e", (), ())) == ()
-
-    def test_file_backend_round_trip(self, tmp_path):
-        frame = self.make()
-        path = tmp_path / "scene.json"
-        save_scene(frame, path)
-        backend = FileBackend(path)
-        loaded = backend.load()
-        assert loaded == frame
-        assert backend.estimate_depth(loaded) == frame.depths
-        assert backend.detect(EntityQueue(()), loaded) == frame.detections
-
-    @staticmethod
-    def make():
-        return PerceptionFrame("mem://d", (det("red block"), det("green cup", 0.5, 0.5, 0.6, 0.6)),
-                               (0.8, 2.5))
 
 
 class TestBuildGraph:
@@ -181,17 +88,6 @@ class TestSynthScene:
         labels = [d.label for d in frame.detections]
         assert len(set(labels)) == len(labels)
 
-    def test_pipeline_equivalence(self):
-        # running the detections through the public pipeline reproduces the
-        # expected graph
-        frame, expected = synth_scene(17, 8)
-        backend = SyntheticBackend()
-        records = detect(EntityQueue(()), frame, backend)
-        depths = estimate_depth(frame, backend)
-        rebuilt = build_graph(records, depths)
-        assert rebuilt.nodes == expected.nodes
-        assert rebuilt.edges == expected.edges
-
     def test_brick_mode_has_hue_stressors(self):
         frame, _ = synth_scene(23, 6, brick_mode=True)
         labels = " ".join(d.label for d in frame.detections)
@@ -233,9 +129,3 @@ class TestSceneFiles:
             load_scene(path)
         assert "depth_m" in str(err.value)
 
-
-class TestRemoteBackend:
-    def test_unreachable_endpoint(self):
-        backend = RemoteBackend("http://127.0.0.1:9/never", timeout_s=0.2)
-        with pytest.raises(BackendUnavailable):
-            backend.extract_entities("Is anything there?")

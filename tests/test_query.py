@@ -13,7 +13,6 @@ from espatial.query import (
     SpatialQuery,
     WorkspaceEnvelope,
     answer,
-    batch_answer,
 )
 from espatial.scene import SceneGraph
 
@@ -171,43 +170,6 @@ class TestSuccessJudgment:
         g = brick_graph(random_structure(rng, 2))
         with pytest.raises(CategoryParamMismatch):
             answer(SpatialQuery(QueryCategory.SUCCESS_JUDGMENT), g)
-
-
-class TestBatch:
-    def test_empty(self, rng):
-        g = SceneGraph.from_nodes(random_nodes(rng, 2))
-        assert batch_answer([], g) == []
-
-    def test_elementwise_equal_to_sequential(self, rng):
-        g = SceneGraph.from_nodes(random_nodes(rng, 5))
-        queries = [
-            SpatialQuery(QueryCategory.DISTANCE, "n0", "n1"),
-            SpatialQuery(QueryCategory.REACHABILITY, "n2"),
-            SpatialQuery(QueryCategory.DIRECTION, "n3", "n4"),
-        ]
-        assert batch_answer(queries, g) == [answer(q, g) for q in queries]
-
-    def test_collects_errors_without_failing_fast(self, rng):
-        g = SceneGraph.from_nodes(random_nodes(rng, 2))
-        queries = [
-            SpatialQuery(QueryCategory.DISTANCE, "n0", "ghost"),
-            SpatialQuery(QueryCategory.REACHABILITY, "n1"),
-        ]
-        results = batch_answer(queries, g)
-        assert results[0].error is not None
-        assert results[1].error is None
-
-    def test_large_batch_matches_sequential(self, rng):
-        _, g = synth_scene(3, 8)
-        ids = g.node_ids()
-        queries = []
-        for _ in range(1000):
-            a, b = rng.choice(ids), rng.choice(ids)
-            if a == b:
-                queries.append(SpatialQuery(QueryCategory.REACHABILITY, a))
-            else:
-                queries.append(SpatialQuery(QueryCategory.DIRECTION, a, b))
-        assert batch_answer(queries, g) == [answer(q, g) for q in queries]
 
 
 class TestTraceFalsifiability:
