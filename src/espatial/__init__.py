@@ -12,7 +12,6 @@ from .geometry import (  # noqa: F401
     DEFAULT_THRESHOLDS,
     PALETTE,
     Box,
-    CameraModel,
     RelationEdge,
     RelationKind,
     Thresholds,
@@ -32,9 +31,7 @@ from .scene import (  # noqa: F401
     SceneGraph,
     apply_action,
     apply_disturbance,
-    diff,
     update_node_states,
-    update_relations,
 )
 from .bricks import (  # noqa: F401
     BrickSpec,
@@ -54,7 +51,6 @@ from .planner import (  # noqa: F401
     plan,
     replay,
     serialize_command,
-    to_actions,
 )
 from .perception import (  # noqa: F401
     DetectionRecord,

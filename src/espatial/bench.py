@@ -20,11 +20,13 @@ from .bricks import LegoStructure, describe, equals, from_graph, random_structur
 from .config import EngineConfig
 from .cot import ReasonPolicy, reason, reason_over_plan
 from .errors import EngineError, ParseError, SchemaVersionMismatch
+from .jsonfile import read_json_object, write_json
 from .oracle import answer_from_truth, brick_tuples, truth_from_frame
-from .perception import build_graph, frame_from_structure, synth_frame, synth_structure
+from .perception import PerceptionFrame, build_graph, frame_from_structure, synth_frame, synth_structure
 from .planner import replay
 from .query import QueryCategory
 from .questions import render_question
+from .scene import _parse_list
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +49,12 @@ class SceneRef:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneRef":
-        return cls(int(data["seed"]), int(data["n_objects"]), bool(data.get("brick_mode", False)))
+        try:
+            return cls(int(data["seed"]), int(data["n_objects"]), bool(data.get("brick_mode", False)))
+        except KeyError as e:
+            raise ParseError(f"scene missing {e.args[0]!r}", field=e.args[0]) from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad scene value: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,22 @@ class QaItem:
     @classmethod
     def from_dict(cls, data: dict) -> "QaItem":
         try:
+            try:
+                scene = SceneRef.from_dict(data["scene"])
+            except ParseError as e:
+                raise e.within("scene") from e
             return cls(
                 question=data["question"],
                 category=QueryCategory(data["category"]),
-                scene=SceneRef.from_dict(data["scene"]),
+                scene=scene,
                 gold_value=data["gold"]["value"],
                 gold_units=data["gold"].get("units"),
                 params=data.get("params", {}),
             )
         except KeyError as e:
             raise ParseError(f"qa item missing {e.args[0]!r}", field=e.args[0]) from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad qa item value: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -98,30 +111,27 @@ class QaDataset:
         }
 
     def save(self, path: str | Path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "QaDataset":
         schema = data.get("schema")
         if schema != DATASET_SCHEMA:
             raise SchemaVersionMismatch(schema, DATASET_SCHEMA)
-        return cls(
-            seed=int(data.get("seed", 0)),
-            items=tuple(QaItem.from_dict(i) for i in data["items"]),
-            config=data.get("config", {}),
-        )
+        try:
+            return cls(
+                seed=int(data.get("seed", 0)),
+                items=_parse_list(data, "items", QaItem.from_dict),
+                config=data.get("config", {}),
+            )
+        except KeyError as e:
+            raise ParseError(f"dataset missing {e.args[0]!r}", field=e.args[0]) from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad dataset value: {e}") from e
 
     @classmethod
     def load(cls, path: str | Path) -> "QaDataset":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ParseError(f"cannot read dataset {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed dataset JSON: {e.msg}", line=e.lineno) from e
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path))
 
 
 def gold_for_item(
@@ -141,10 +151,15 @@ def gold_for_item(
             truth_bricks=brick_tuples(truth), target_bricks=brick_tuples(target),
         )
         return value, units
-    frame = synth_frame(scene.seed, scene.n_objects)
-    objects = truth_from_frame(frame)
+    return _gold_from_frame(category, synth_frame(scene.seed, scene.n_objects), idx_a, idx_b, config)
+
+
+def _gold_from_frame(
+    category: QueryCategory, frame: PerceptionFrame, idx_a: int, idx_b: int | None, config: EngineConfig
+):
+    """Oracle gold answer for an object question over a rendered frame."""
     return answer_from_truth(
-        category, objects, idx_a, idx_b, config.workspace, config.thresholds
+        category, truth_from_frame(frame), idx_a, idx_b, config.workspace, config.thresholds
     )
 
 
@@ -190,7 +205,7 @@ def generate_dataset(
         if category in (QueryCategory.ADJACENCY, QueryCategory.DISTANCE,
                         QueryCategory.OVERLAP, QueryCategory.DIRECTION):
             idx_b = rng.choice([i for i in range(n) if i != idx_a])
-        value, units = gold_for_item(category, scene, idx_a, idx_b, None, config)
+        value, units = _gold_from_frame(category, frame, idx_a, idx_b, config)
         label_a = labels[idx_a]
         label_b = labels[idx_b] if idx_b is not None else None
         items.append(QaItem(
@@ -261,7 +276,7 @@ class Report:
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path):
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_json(path, self.to_dict())
 
 
 def _evaluate_item(index: int, item: QaItem, config: EngineConfig, client) -> tuple[bool, str | None]:

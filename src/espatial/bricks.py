@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import InvalidPose, InvalidStructure, NonBrickNode, ParseError, SnapAmbiguity
 from .geometry import PALETTE, Box, color_text
@@ -154,9 +154,6 @@ class LegoStructure:
             for cell in brick.cells3():
                 cells[cell] = cells.get(cell, ()) + (i,)
         return cells
-
-    def occupied_cells(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(cell for brick in self.bricks for cell in brick.cells3())
 
     def with_brick(self, brick: PlacedBrick) -> "LegoStructure":
         return LegoStructure(self.bricks + (brick,))
@@ -369,18 +366,18 @@ def node_footprint(size_class: str) -> tuple[int, int] | None:
     return fp if is_supported_footprint(*fp) else None
 
 
-def from_graph(graph: "SceneGraph", frame: StudFrame = DEFAULT_STUD_FRAME) -> LegoStructure:
+def from_graph(graph: "SceneGraph") -> LegoStructure:
     """Recover the brick structure a scene graph describes.
 
-    Every node must carry a footprint size class and a stud-aligned pose;
-    the result must pass validation.
+    Every node must carry a footprint size class and a pose aligned to the
+    default stud frame; the result must pass validation.
     """
     bricks = []
     for node in graph.nodes:
         footprint = node_footprint(node.size_class)
         if footprint is None:
             raise NonBrickNode(f"node {node.id!r} has size class {node.size_class!r}")
-        x, y, layer = frame.snap(node.bbox, node.depth_m, footprint)
+        x, y, layer = DEFAULT_STUD_FRAME.snap(node.bbox, node.depth_m, footprint)
         bricks.append(PlacedBrick(BrickSpec(node.color, footprint), (x, y), layer))
     structure = LegoStructure(tuple(bricks))
     violations = validate(structure)
@@ -393,29 +390,24 @@ def brick_label(spec: BrickSpec) -> str:
     return f"{color_text(spec.color)} {spec.size} brick"
 
 
-def random_structure(
-    rng: Random,
-    n_bricks: int,
-    colors: Sequence[str] | None = None,
-    max_xy: int = 8,
-    max_tries: int = 200,
-) -> LegoStructure:
+def random_structure(rng: Random, n_bricks: int) -> LegoStructure:
     """Deterministic random valid structure in canonical form.
 
-    Bricks are either grounded at layer 0 or stacked with at least one cell
-    over an existing brick; candidates that collide are re-sampled. May
-    return fewer than n_bricks if placement keeps failing, which at these
-    sizes does not happen in practice.
+    Bricks are either grounded at layer 0 with an origin in [0, 8]^2 or
+    stacked with at least one cell over an existing brick; candidates that
+    collide are re-sampled, up to 200 times per brick. May return fewer than
+    n_bricks if placement keeps failing, which at these sizes does not
+    happen in practice.
     """
-    palette = tuple(colors) if colors else tuple(PALETTE)
+    palette = tuple(PALETTE)
     bricks: list[PlacedBrick] = []
     cells: set[tuple[int, int, int]] = set()
     for _ in range(n_bricks):
         placed = None
-        for _attempt in range(max_tries):
+        for _attempt in range(200):
             spec = BrickSpec(rng.choice(palette), rng.choice(FOOTPRINT_PLACEMENTS))
             if not bricks or rng.random() < 0.45:
-                origin = (rng.randint(0, max_xy), rng.randint(0, max_xy))
+                origin = (rng.randint(0, 8), rng.randint(0, 8))
                 layer = 0
             else:
                 base = rng.choice(bricks)

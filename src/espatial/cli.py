@@ -8,10 +8,8 @@ JSON. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
 from . import __version__
 from .bench import QaDataset, generate_dataset, run_bench, run_reassembly
@@ -19,6 +17,7 @@ from .bricks import LegoStructure, validate
 from .config import EngineConfig, load_config
 from .cot import ReasonPolicy, reason
 from .errors import EngineError
+from .jsonfile import read_json_object, write_json
 from .perception import build_graph, load_graph, load_scene, save_graph
 from .planner import plan, serialize_command
 from .query import SpatialQuery, answer
@@ -26,18 +25,10 @@ from .query import SpatialQuery, answer
 logger = logging.getLogger(__name__)
 
 
-def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _engine_config(args) -> EngineConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     return EngineConfig()
-
-
-def _load_structure(path: str) -> LegoStructure:
-    return LegoStructure.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _cmd_build_graph(args) -> int:
@@ -63,7 +54,7 @@ def _cmd_query(args) -> int:
         )
         payload = trace.to_dict()
     else:
-        query = SpatialQuery.from_dict(json.loads(Path(args.query).read_text(encoding="utf-8")))
+        query = SpatialQuery.from_dict(read_json_object(args.query))
         result = answer(query, graph, config.workspace, config.thresholds)
         payload = result.to_dict()
     print(f"value: {result.value}" + (f" {result.units}" if result.units else ""))
@@ -72,22 +63,22 @@ def _cmd_query(args) -> int:
     if result.abstained:
         print(f"abstained: {result.error}")
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     return 0
 
 
 def _cmd_plan(args) -> int:
-    target = _load_structure(args.target)
+    target = LegoStructure.from_dict(read_json_object(args.target))
     assembly = plan(target)
     for command in assembly.commands:
         print(serialize_command(command))
     if args.out:
-        _write_json(args.out, assembly.to_dict())
+        write_json(args.out, assembly.to_dict())
     return 0
 
 
 def _cmd_validate(args) -> int:
-    structure = _load_structure(args.structure)
+    structure = LegoStructure.from_dict(read_json_object(args.structure))
     violations = validate(structure)
     if not violations:
         print(f"ok: {len(structure.bricks)} bricks, no violations")
@@ -95,7 +86,7 @@ def _cmd_validate(args) -> int:
     for violation in violations:
         print(str(violation))
     if args.out:
-        _write_json(args.out, {"violations": [str(v) for v in violations]})
+        write_json(args.out, {"violations": [str(v) for v in violations]})
     return 1
 
 
@@ -129,7 +120,7 @@ def _cmd_reassembly(args) -> int:
     if result.stage_failed:
         print(f"failed at stage {result.stage_failed}: {result.error}")
     if args.out:
-        _write_json(args.out, result.to_dict())
+        write_json(args.out, result.to_dict())
     return 0 if (result.description_ok and result.assembly_ok) else 1
 
 
@@ -204,10 +195,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return 2
     try:
         return args.func(args)
-    except EngineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (EngineError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,13 +9,13 @@ The remote endpoint and token may come from the environment
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
 from .geometry import DEFAULT_THRESHOLDS, Thresholds
+from .jsonfile import read_json_object
 from .query import DEFAULT_WORKSPACE, WorkspaceEnvelope
 
 ENDPOINT_ENV = "ESPATIAL_ENDPOINT"
@@ -80,12 +80,4 @@ class EngineConfig:
 
 
 def load_config(path: str | Path) -> EngineConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed config JSON: {e.msg}", line=e.lineno) from e
-    if not isinstance(data, dict):
-        raise ParseError("config must be a JSON object")
-    return EngineConfig.from_dict(data)
+    return EngineConfig.from_dict(read_json_object(path))

@@ -42,6 +42,7 @@ from .bricks import (
     node_footprint,
     parse_footprint,
 )
+from .config import TOKEN_ENV
 from .errors import (
     BackendUnavailable,
     ClaimGrammarError,
@@ -529,7 +530,7 @@ class RemoteClient:
 
     def __init__(self, endpoint: str, token: str | None = None, timeout_s: float = 10.0):
         self.endpoint = endpoint
-        self.token = token if token is not None else os.environ.get("ESPATIAL_TOKEN")
+        self.token = token if token is not None else os.environ.get(TOKEN_ENV)
         self.timeout_s = timeout_s
 
     def submit(

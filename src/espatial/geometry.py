@@ -52,15 +52,6 @@ SYMMETRIC_KINDS = frozenset({
 DIRECTIONAL_KINDS = frozenset(DUALS) | {RelationKind.ON_TOP_OF}
 
 
-def magnitude_units(kind: RelationKind) -> str:
-    """Units of an edge magnitude: meters, IoU ratio, or normalized units."""
-    if kind in (RelationKind.IN_FRONT_OF, RelationKind.BEHIND, RelationKind.NEAR):
-        return "m"
-    if kind is RelationKind.OVERLAPPING:
-        return "ratio"
-    return "norm"
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box in normalized image coordinates."""
@@ -144,26 +135,14 @@ def color_name(text: str) -> str:
     return text.strip().replace(" ", "_")
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    """Normalized pinhole lift with unit scale.
-
-    center3 = ((cx - 0.5) * depth * sx, (cy - 0.5) * depth * sy, depth).
-    """
-
-    sx: float = 1.0
-    sy: float = 1.0
-
-
-DEFAULT_CAMERA = CameraModel()
-
-
-def lift_to_3d(bbox: Box, depth_m: float, cam: CameraModel = DEFAULT_CAMERA) -> tuple[float, float, float]:
-    """Lift a box center to a 3-D camera-frame point in meters."""
+def lift_to_3d(bbox: Box, depth_m: float) -> tuple[float, float, float]:
+    """Lift a box center to a 3-D camera-frame point in meters through the
+    unit normalized pinhole camera:
+    ((cx - 0.5) * depth, (cy - 0.5) * depth, depth)."""
     if not (isinstance(depth_m, (int, float)) and depth_m > 0 and math.isfinite(depth_m)):
         raise InvalidDepth(f"depth must be positive and finite, got {depth_m!r}")
     cx, cy = bbox.center
-    return ((cx - 0.5) * depth_m * cam.sx, (cy - 0.5) * depth_m * cam.sy, float(depth_m))
+    return ((cx - 0.5) * depth_m, (cy - 0.5) * depth_m, float(depth_m))
 
 
 class NodeLike(Protocol):
@@ -251,8 +230,10 @@ DEFAULT_THRESHOLDS = Thresholds()
 class RelationEdge:
     """Typed spatial relation between two nodes.
 
-    Magnitude units follow :func:`magnitude_units` for the kind. Confidence
-    defaults to certain; a loaded graph may carry a lower one forward.
+    The magnitude is in meters for in_front_of, behind and near, an IoU
+    ratio for overlapping, and normalized image units for every other kind.
+    Confidence defaults to certain; a loaded graph may carry a lower one
+    forward.
     """
 
     subject_id: str

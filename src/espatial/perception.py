@@ -7,25 +7,17 @@ with :func:`save_scene`; :func:`build_graph` turns one into a scene graph.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .bricks import (
-    DEFAULT_STUD_FRAME,
-    LegoStructure,
-    StudFrame,
-    brick_label,
-    node_footprint,
-    random_structure,
-)
+from .bricks import DEFAULT_STUD_FRAME, LegoStructure, brick_label, node_footprint, random_structure
 from .errors import InvalidDepth, MisalignedInputs, ParseError, SchemaVersionMismatch
-from .geometry import DEFAULT_THRESHOLDS, PALETTE, Box, Thresholds, classify_color, color_text
-from .scene import ObjectNode, SceneGraph, merge_edge_confidence, size_class_for_box
-from .geometry import derive_all
+from .geometry import DEFAULT_THRESHOLDS, PALETTE, Box, Thresholds, classify_color, color_text, derive_all
+from .jsonfile import read_json_object, write_json
+from .scene import ObjectNode, SceneGraph, _parse_list, merge_edge_confidence, size_class_for_box
 
 SCENE_SCHEMA = "espatial-scene/1"
 
@@ -168,8 +160,8 @@ def _label_footprint(label: str) -> str | None:
 _SYNTH_NOUNS = ("ball", "cup", "box", "bottle", "book", "plate", "mug", "can")
 
 
-def _jitter_rgb(anchor: tuple[int, int, int], rng: Random, spread: int = 8) -> tuple[int, int, int]:
-    return tuple(max(0, min(255, v + rng.randint(-spread, spread))) for v in anchor)
+def _jitter_rgb(anchor: tuple[int, int, int], rng: Random) -> tuple[int, int, int]:
+    return tuple(max(0, min(255, v + rng.randint(-8, 8))) for v in anchor)
 
 
 def frame_from_structure(
@@ -177,9 +169,9 @@ def frame_from_structure(
     rgb_seed: int = 0,
     image_ref: str = "synthetic://structure",
     drop_index: int | None = None,
-    stud_frame: StudFrame = DEFAULT_STUD_FRAME,
 ) -> PerceptionFrame:
-    """Render a structure as ground-truth detections through the stud frame.
+    """Render a structure as ground-truth detections through the default
+    stud frame.
 
     ``drop_index`` omits one brick's detection, simulating a missed object.
     """
@@ -187,7 +179,7 @@ def frame_from_structure(
     detections: list[DetectionRecord] = []
     depths: list[float] = []
     for i, brick in enumerate(structure.bricks):
-        bbox, depth = stud_frame.project(brick)
+        bbox, depth = DEFAULT_STUD_FRAME.project(brick)
         rgb = _jitter_rgb(PALETTE[brick.spec.color], rng)
         score = round(rng.uniform(0.75, 0.99), 3)
         if i == drop_index:
@@ -256,17 +248,11 @@ def synth_frame(seed: int, n_objects: int, brick_mode: bool = False) -> Percepti
     return PerceptionFrame(f"synthetic://{seed}", tuple(detections), tuple(depths))
 
 
-def synth_scene(
-    seed: int,
-    n_objects: int,
-    brick_mode: bool = False,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> tuple[PerceptionFrame, SceneGraph]:
+def synth_scene(seed: int, n_objects: int, brick_mode: bool = False) -> tuple[PerceptionFrame, SceneGraph]:
     """Deterministic ground-truth scene (see :func:`synth_frame`) plus its
-    expected graph."""
+    expected graph under the default thresholds."""
     frame = synth_frame(seed, n_objects, brick_mode)
-    expected = build_graph(frame.detections, frame.depths, thresholds=thresholds,
-                           provenance="synthetic")
+    expected = build_graph(frame.detections, frame.depths, provenance="synthetic")
     return frame, expected
 
 
@@ -294,55 +280,40 @@ def frame_from_dict(data: dict) -> PerceptionFrame:
     schema = data.get("schema")
     if schema != SCENE_SCHEMA:
         raise SchemaVersionMismatch(schema, SCENE_SCHEMA)
-    detections: list[DetectionRecord] = []
-    depths: list[float] = []
     try:
-        for i, d in enumerate(data["detections"]):
-            try:
-                detections.append(DetectionRecord(
-                    d["label"], Box(*(float(v) for v in d["bbox"])),
-                    tuple(d["rgb"]), float(d["score"]),
-                ))
-                depths.append(float(d["depth_m"]))
-            except KeyError as e:
-                raise ParseError(
-                    f"detection {i} missing {e.args[0]!r}", field=f"detections[{i}].{e.args[0]}"
-                ) from e
-        return PerceptionFrame(data["image_ref"], tuple(detections), tuple(depths),
+        rows = _parse_list(data, "detections", _detection_from_dict)
+        return PerceptionFrame(data["image_ref"], tuple(r for r, _ in rows), tuple(d for _, d in rows),
                                t=int(data.get("t", 0)))
     except KeyError as e:
         raise ParseError(f"scene missing {e.args[0]!r}", field=e.args[0]) from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad scene value: {e}") from e
 
 
-def _load_json(path: str | Path) -> dict:
+def _detection_from_dict(data: dict) -> tuple[DetectionRecord, float]:
+    """One detection and its depth sample."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON in {path}: {e.msg}", line=e.lineno) from e
-    if not isinstance(data, dict):
-        raise ParseError(f"expected a JSON object in {path}")
-    return data
-
-
-def _dump_json(data: dict, path: str | Path):
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        record = DetectionRecord(
+            data["label"], Box(*(float(v) for v in data["bbox"])), tuple(data["rgb"]), float(data["score"]),
+        )
+        return record, float(data["depth_m"])
+    except KeyError as e:
+        raise ParseError(f"detection missing {e.args[0]!r}", field=e.args[0]) from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad detection value: {e}") from e
 
 
 def save_scene(frame: PerceptionFrame, path: str | Path):
-    _dump_json(frame_to_dict(frame), path)
+    write_json(path, frame_to_dict(frame))
 
 
 def load_scene(path: str | Path) -> PerceptionFrame:
-    return frame_from_dict(_load_json(path))
+    return frame_from_dict(read_json_object(path))
 
 
 def save_graph(graph: SceneGraph, path: str | Path):
-    _dump_json(graph.to_dict(), path)
+    write_json(path, graph.to_dict())
 
 
 def load_graph(path: str | Path) -> SceneGraph:
-    return SceneGraph.from_dict(_load_json(path))
+    return SceneGraph.from_dict(read_json_object(path))

@@ -28,7 +28,6 @@ from .bricks import (
 )
 from .errors import GrammarError, InvalidPose, InvalidTarget, ReplayViolation, SchemaVersionMismatch
 from .geometry import PALETTE, color_name, color_text
-from .scene import Action
 
 PLAN_SCHEMA = "espatial-plan/1"
 
@@ -140,11 +139,6 @@ def replay(assembly: AssemblyPlan) -> LegoStructure:
         if violations:
             raise ReplayViolation(i, violations)
     return structure
-
-
-def to_actions(assembly: AssemblyPlan) -> list[Action]:
-    """One scene-graph PlaceBrick action per command, order preserved."""
-    return [Action.place_brick(c) for c in assembly.commands]
 
 
 # --- text grammar ------------------------------------------------------------

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Union
 
-from .bricks import DEFAULT_STUD_FRAME, PlacedBrick, StudFrame, brick_label
+from .bricks import DEFAULT_STUD_FRAME, PlacedBrick, brick_label
 from .errors import DuplicateNodeId, InvalidPose, ParseError, SchemaVersionMismatch, UnknownNodeId
 from .geometry import (
-    DEFAULT_CAMERA,
     DEFAULT_THRESHOLDS,
     Box,
     RelationEdge,
@@ -58,9 +57,9 @@ def _normalize_attributes(attributes) -> tuple[tuple[str, str], ...]:
 class ObjectNode:
     """An observed object: label, color, normalized box, metric depth.
 
-    ``center3`` is derived from the box center and depth through the default
-    normalized camera. Attributes are stored as sorted pairs so nodes stay
-    hashable and structurally comparable.
+    ``center3`` is derived from the box center and depth through the unit
+    normalized camera (see :func:`lift_to_3d`). Attributes are stored as
+    sorted pairs so nodes stay hashable and structurally comparable.
     """
 
     id: str
@@ -82,7 +81,7 @@ class ObjectNode:
 
     @property
     def center3(self) -> tuple[float, float, float]:
-        return lift_to_3d(self.bbox, self.depth_m, DEFAULT_CAMERA)
+        return lift_to_3d(self.bbox, self.depth_m)
 
     def attr(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.attributes:
@@ -371,10 +370,10 @@ GraphEvent = Union[Action, DisturbanceEvent]
 
 # --- transitions -------------------------------------------------------------
 
-def brick_node(command, stud_frame: StudFrame = DEFAULT_STUD_FRAME) -> ObjectNode:
+def brick_node(command) -> ObjectNode:
     """Scene node for a placed brick, posed through the stud frame."""
     brick = PlacedBrick(command.spec, command.position, command.layer)
-    bbox, depth = stud_frame.project(brick)
+    bbox, depth = DEFAULT_STUD_FRAME.project(brick)
     x, y = command.position
     return ObjectNode(
         id=f"brick_{x}_{y}_{command.layer}",
@@ -386,26 +385,36 @@ def brick_node(command, stud_frame: StudFrame = DEFAULT_STUD_FRAME) -> ObjectNod
     )
 
 
+def _added(graph: SceneGraph, node: ObjectNode) -> tuple[ObjectNode, ...]:
+    if graph.has_node(node.id):
+        raise DuplicateNodeId(node.id)
+    return graph.nodes + (node,)
+
+
+def _removed(graph: SceneGraph, node_id: str) -> tuple[ObjectNode, ...]:
+    graph.node(node_id)
+    return tuple(n for n in graph.nodes if n.id != node_id)
+
+
+def _replaced(graph: SceneGraph, node: ObjectNode) -> tuple[ObjectNode, ...]:
+    """Node set with ``node`` in place of the node sharing its id."""
+    return tuple(node if n.id == node.id else n for n in graph.nodes)
+
+
 def update_node_states(graph: SceneGraph, action: Action) -> tuple[ObjectNode, ...]:
     """Successor node set for an action; the graph itself is untouched."""
     k = action.kind
     if k is ActionKind.NOOP:
         return graph.nodes
     if k is ActionKind.PLACE_BRICK:
-        node = brick_node(action.command)
-        if graph.has_node(node.id):
-            raise DuplicateNodeId(node.id)
-        return graph.nodes + (node,)
+        return _added(graph, brick_node(action.command))
     if k is ActionKind.REMOVE_OBJECT:
-        graph.node(action.node_id)
-        return tuple(n for n in graph.nodes if n.id != action.node_id)
+        return _removed(graph, action.node_id)
     if k is ActionKind.PICK_OBJECT:
-        node = graph.node(action.node_id)
-        return tuple(n.with_attr("held", "true") if n.id == node.id else n for n in graph.nodes)
+        return _replaced(graph, graph.node(action.node_id).with_attr("held", "true"))
     if k is ActionKind.PLACE_OBJECT:
         node = graph.node(action.node_id)
-        moved = node.with_pose(action.pose.bbox, action.pose.depth_m).without_attr("held")
-        return tuple(moved if n.id == node.id else n for n in graph.nodes)
+        return _replaced(graph, node.with_pose(action.pose.bbox, action.pose.depth_m).without_attr("held"))
     raise ValueError(f"unhandled action kind {k!r}")
 
 
@@ -421,24 +430,16 @@ def merge_edge_confidence(
     )
 
 
-def update_relations(
-    nodes: Iterable[ObjectNode],
-    prev_edges: Iterable[RelationEdge],
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> tuple[RelationEdge, ...]:
-    """Full pairwise recomputation over the successor nodes.
-
-    Previous edges are consulted only to preserve confidences of pairs whose
-    relation survived.
-    """
-    return merge_edge_confidence(derive_all(tuple(nodes), thresholds), prev_edges)
+def _successor(graph: SceneGraph, nodes: tuple[ObjectNode, ...], thresholds: Thresholds) -> SceneGraph:
+    """Next snapshot over ``nodes``: full pairwise recomputation, with the
+    confidences of relations that survived carried over from ``graph``."""
+    edges = merge_edge_confidence(derive_all(nodes, thresholds), graph.edges)
+    return SceneGraph(t=graph.t + 1, nodes=nodes, edges=edges, provenance=graph.provenance)
 
 
 def apply_action(graph: SceneGraph, action: Action, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SceneGraph:
     """Successor graph under an agent action; deterministic, snapshotting."""
-    nodes = update_node_states(graph, action)
-    edges = update_relations(nodes, graph.edges, thresholds)
-    return SceneGraph(t=graph.t + 1, nodes=nodes, edges=edges, provenance=graph.provenance)
+    return _successor(graph, update_node_states(graph, action), thresholds)
 
 
 def apply_disturbance(
@@ -447,20 +448,14 @@ def apply_disturbance(
     """Successor graph under an external edit; same contract as apply_action."""
     k = event.kind
     if k is DisturbanceKind.ADD_NODE:
-        if graph.has_node(event.node.id):
-            raise DuplicateNodeId(event.node.id)
-        nodes = graph.nodes + (event.node,)
+        nodes = _added(graph, event.node)
     elif k is DisturbanceKind.REMOVE_NODE:
-        graph.node(event.node_id)
-        nodes = tuple(n for n in graph.nodes if n.id != event.node_id)
+        nodes = _removed(graph, event.node_id)
     elif k is DisturbanceKind.MOVE_NODE:
-        node = graph.node(event.node_id)
-        moved = node.with_pose(event.pose.bbox, event.pose.depth_m)
-        nodes = tuple(moved if n.id == node.id else n for n in graph.nodes)
+        nodes = _replaced(graph, graph.node(event.node_id).with_pose(event.pose.bbox, event.pose.depth_m))
     else:
         raise ValueError(f"unhandled disturbance kind {k!r}")
-    edges = update_relations(nodes, graph.edges, thresholds)
-    return SceneGraph(t=graph.t + 1, nodes=nodes, edges=edges, provenance=graph.provenance)
+    return _successor(graph, nodes, thresholds)
 
 
 def apply_event(graph: SceneGraph, event: GraphEvent, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SceneGraph:
@@ -471,77 +466,13 @@ def apply_event(graph: SceneGraph, event: GraphEvent, thresholds: Thresholds = D
     raise TypeError(f"not a graph event: {event!r}")
 
 
-# --- diffing -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GraphDiff:
-    """Edit set turning one graph into another (step index excluded)."""
-
-    added_nodes: tuple[ObjectNode, ...] = ()
-    removed_node_ids: tuple[str, ...] = ()
-    moved_nodes: tuple[ObjectNode, ...] = ()
-    added_edges: tuple[RelationEdge, ...] = ()
-    removed_edges: tuple[RelationEdge, ...] = ()
-    provenance: str | None = None
-
-    def is_empty(self) -> bool:
-        return not (
-            self.added_nodes or self.removed_node_ids or self.moved_nodes
-            or self.added_edges or self.removed_edges or self.provenance
-        )
-
-
-def diff(a: SceneGraph, b: SceneGraph) -> GraphDiff:
-    """Changeset from a to b. Nodes sharing an id but differing in any field
-    count as moved and carry their new version."""
-    a_ids = {n.id: n for n in a.nodes}
-    b_ids = {n.id: n for n in b.nodes}
-    added = tuple(n for n in b.nodes if n.id not in a_ids)
-    removed = tuple(sorted(set(a_ids) - set(b_ids)))
-    moved = tuple(n for n in b.nodes if n.id in a_ids and n != a_ids[n.id])
-    a_edges, b_edges = set(a.edges), set(b.edges)
-    return GraphDiff(
-        added_nodes=added,
-        removed_node_ids=removed,
-        moved_nodes=moved,
-        added_edges=tuple(sorted(b_edges - a_edges, key=RelationEdge.key)),
-        removed_edges=tuple(sorted(a_edges - b_edges, key=RelationEdge.key)),
-        provenance=b.provenance if b.provenance != a.provenance else None,
-    )
-
-
-def apply_diff(a: SceneGraph, change: GraphDiff) -> SceneGraph:
-    """Replay a changeset as edits over ``a``; reproduces the diffed graph
-    up to the step index (which stays at ``a.t``)."""
-    by_id = {n.id: n for n in a.nodes}
-    for node_id in change.removed_node_ids:
-        if node_id not in by_id:
-            raise UnknownNodeId(node_id)
-        del by_id[node_id]
-    for node in change.moved_nodes:
-        if node.id not in by_id:
-            raise UnknownNodeId(node.id)
-        by_id[node.id] = node
-    for node in change.added_nodes:
-        if node.id in by_id:
-            raise DuplicateNodeId(node.id)
-        by_id[node.id] = node
-    edges = (set(a.edges) - set(change.removed_edges)) | set(change.added_edges)
-    return SceneGraph(
-        t=a.t,
-        nodes=tuple(by_id.values()),
-        edges=tuple(edges),
-        provenance=change.provenance or a.provenance,
-    )
-
-
 def graphs_equal_modulo_t(a: SceneGraph, b: SceneGraph) -> bool:
     return a.nodes == b.nodes and a.edges == b.edges and a.provenance == b.provenance
 
 
 def check_closure(graph: SceneGraph, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
     """True when the edge set equals full derivation (modulo confidence)."""
-    return update_relations(graph.nodes, graph.edges, thresholds) == graph.edges
+    return merge_edge_confidence(derive_all(graph.nodes, thresholds), graph.edges) == graph.edges
 
 
 # --- history -----------------------------------------------------------------

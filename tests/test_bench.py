@@ -50,6 +50,21 @@ class TestGenerateDataset:
             assert score_answer(value, item.gold_value), item.question
             assert units == item.gold_units
 
+    def test_each_object_scene_rendered_once(self, monkeypatch):
+        import espatial.bench
+
+        calls = []
+        real = espatial.bench.synth_frame
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(espatial.bench, "synth_frame", counting)
+        ds = generate_dataset(5, 200)
+        object_items = [i for i in ds.items if not i.scene.brick_mode]
+        assert len(calls) == len(object_items) == 177
+
     def test_round_trip_file(self, tmp_path):
         ds = generate_dataset(3, 15)
         path = tmp_path / "ds.json"

@@ -11,7 +11,7 @@ import pytest
 
 from espatial.cli import cli_dispatch
 from espatial.config import EngineConfig
-from espatial.perception import save_scene, synth_scene
+from espatial.perception import frame_to_dict, save_graph, save_scene, synth_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,8 +77,6 @@ class TestBuildGraphAndQuery:
     def test_natural_language_question(self, tmp_path, capsys):
         frame, graph = synth_scene(43, 4)
         graph_path = tmp_path / "graph.json"
-        from espatial.perception import save_graph
-
         save_graph(graph, graph_path)
         label = graph.nodes[0].label
         assert run_cli("query", "--graph", str(graph_path),
@@ -182,6 +180,39 @@ class TestGraphBoundary:
                        "--question", "Can the robot reach the red ball?")
         assert code == 1
         assert_one_error_line(capsys, repr(field))
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("mutate, fragment", [
+        (lambda d: [1], "expected a JSON object"),
+        (lambda d: {**d, "items": "oops"}, "'items'"),
+        (lambda d: {**d, "items": [{**d["items"][0], "scene": "oops"}]}, "'items[0].scene'"),
+    ], ids=["dataset_list", "items_not_a_list", "scene_not_an_object"])
+    def test_malformed_dataset_is_one_error_line(self, tmp_path, capsys, mutate, fragment):
+        dataset = json.loads((FIXTURES / "qa_100.json").read_text())
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(mutate(dataset)))
+        assert run_cli("bench", "--dataset", str(path)) == 1
+        assert_one_error_line(capsys, fragment)
+
+    def test_malformed_scene_is_one_error_line(self, tmp_path, capsys):
+        frame, _ = synth_scene(41, 5)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**frame_to_dict(frame), "detections": "oops"}))
+        assert run_cli("build-graph", "--scene", str(path)) == 1
+        assert_one_error_line(capsys, "'detections'")
+
+    @pytest.mark.parametrize("argv", [
+        ("query", "--graph", "{graph}", "--query", "{doc}"),
+        ("validate", "--structure", "{doc}"),
+    ], ids=["query", "validate"])
+    def test_list_document_is_one_error_line(self, tmp_path, capsys, argv):
+        _, graph = synth_scene(43, 4)
+        save_graph(graph, tmp_path / "graph.json")
+        (tmp_path / "doc.json").write_text("[1, 2]")
+        paths = {"graph": tmp_path / "graph.json", "doc": tmp_path / "doc.json"}
+        assert run_cli(*(a.format(**paths) for a in argv)) == 1
+        assert_one_error_line(capsys, "expected a JSON object")
 
 
 class TestGoldenReport:

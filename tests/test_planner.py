@@ -25,9 +25,8 @@ from espatial.planner import (
     plan,
     replay,
     serialize_command,
-    to_actions,
 )
-from espatial.scene import SceneGraph, apply_action
+from espatial.scene import Action, SceneGraph, apply_action
 
 
 def command(color, footprint, position, layer) -> PlacementCommand:
@@ -143,17 +142,9 @@ class TestGrammar:
 
 
 class TestToActions:
-    def test_empty(self):
-        assert to_actions(AssemblyPlan((), "x")) == []
-
-    def test_single_command_payload(self):
-        cmd = command("red", (1, 1), (0, 0), 0)
-        actions = to_actions(AssemblyPlan((cmd,), "x"))
-        assert len(actions) == 1 and actions[0].command == cmd
-
     def test_full_plan_through_scene_dynamics(self, rng):
         target = random_structure(rng, 8)
         graph = SceneGraph.empty()
-        for action in to_actions(plan(target)):
+        for action in (Action.place_brick(c) for c in plan(target).commands):
             graph = apply_action(graph, action)
         assert equals(from_graph(graph), target)

@@ -1,9 +1,8 @@
-"""Scene graph dynamics: transitions, diffing, history."""
+"""Scene graph dynamics: transitions and history."""
 
 from __future__ import annotations
 
 import json
-from random import Random
 
 import pytest
 
@@ -20,12 +19,9 @@ from espatial.scene import (
     SceneGraph,
     apply_action,
     apply_disturbance,
-    apply_diff,
     check_closure,
-    diff,
     graphs_equal_modulo_t,
     update_node_states,
-    update_relations,
 )
 
 from .conftest import make_node, random_node, random_nodes
@@ -91,14 +87,14 @@ class TestUpdateNodeStates:
 
 class TestUpdateRelations:
     def test_no_pairs(self, rng):
-        assert update_relations((random_node(rng, "a"),), ()) == ()
+        assert apply_action(graph_of(random_node(rng, "a")), Action.noop()).edges == ()
 
     def test_fixed_point_preserves_confidence(self, rng):
         nodes = (make_node("a", 0.5, 0.5), make_node("b", 0.5, 0.5))
-        fresh = update_relations(nodes, ())
-        tweaked = tuple(e.with_confidence(0.7) for e in fresh)
-        again = update_relations(nodes, tweaked)
-        assert again == tweaked
+        fresh = graph_of(*nodes)
+        tweaked = SceneGraph(t=0, nodes=nodes, edges=tuple(e.with_confidence(0.7) for e in fresh.edges))
+        again = apply_action(tweaked, Action.noop())
+        assert again.edges == tweaked.edges
 
     def test_matches_brute_force_after_move(self, rng):
         nodes = random_nodes(rng, 3)
@@ -197,27 +193,6 @@ class TestApplyDisturbance:
         g = graph_of(*random_nodes(rng, 2))
         with pytest.raises(UnknownNodeId):
             apply_disturbance(g, DisturbanceEvent.move("zz", Pose(Box(0.1, 0.1, 0.2, 0.2), 1.0)))
-
-
-class TestDiff:
-    def test_self_diff_empty(self, rng):
-        g = graph_of(*random_nodes(rng, 4))
-        assert diff(g, g).is_empty()
-
-    def test_removal_changeset(self, rng):
-        g = graph_of(*random_nodes(rng, 4))
-        out = apply_action(g, Action.remove("n1"))
-        change = diff(g, out)
-        assert change.removed_node_ids == ("n1",)
-        assert not change.added_nodes and not change.moved_nodes
-        assert all("n1" in (e.subject_id, e.object_id) for e in change.removed_edges)
-
-    def test_replay_reproduces(self, rng):
-        a = graph_of(*random_nodes(rng, 5))
-        other = Random("other")
-        b = graph_of(*random_nodes(other, 4), t=9)
-        replayed = apply_diff(a, diff(a, b))
-        assert graphs_equal_modulo_t(replayed, b)
 
 
 class TestHistory:
