@@ -20,13 +20,12 @@ from .bricks import LegoStructure, describe, equals, from_graph, random_structur
 from .config import EngineConfig
 from .cot import ReasonPolicy, reason, reason_over_plan
 from .errors import EngineError, ParseError, SchemaVersionMismatch
-from .jsonfile import read_json_object, write_json
+from .jsonfile import parse_list, read_json_object, write_json
 from .oracle import answer_from_truth, brick_tuples, truth_from_frame
 from .perception import PerceptionFrame, build_graph, frame_from_structure, synth_frame, synth_structure
 from .planner import replay
 from .query import QueryCategory
 from .questions import render_question
-from .scene import _parse_list
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +120,7 @@ class QaDataset:
         try:
             return cls(
                 seed=int(data.get("seed", 0)),
-                items=_parse_list(data, "items", QaItem.from_dict),
+                items=parse_list(data, "items", QaItem.from_dict),
                 config=data.get("config", {}),
             )
         except KeyError as e:
@@ -145,13 +144,17 @@ def gold_for_item(
     """Oracle gold answer for one item, recomputed from scratch; used at
     generation time and again by the double-run agreement checks."""
     if category is QueryCategory.SUCCESS_JUDGMENT:
-        truth = synth_structure(scene.seed, scene.n_objects)
-        value, units = answer_from_truth(
-            category, [], 0, None, config.workspace, config.thresholds,
-            truth_bricks=brick_tuples(truth), target_bricks=brick_tuples(target),
-        )
-        return value, units
+        return _gold_from_structure(synth_structure(scene.seed, scene.n_objects), target, config)
     return _gold_from_frame(category, synth_frame(scene.seed, scene.n_objects), idx_a, idx_b, config)
+
+
+def _gold_from_structure(truth: LegoStructure, target: LegoStructure, config: EngineConfig):
+    """Oracle gold answer for a success judgment of ``target`` against the
+    built ``truth``."""
+    return answer_from_truth(
+        QueryCategory.SUCCESS_JUDGMENT, [], 0, None, config.workspace, config.thresholds,
+        truth_bricks=brick_tuples(truth), target_bricks=brick_tuples(target),
+    )
 
 
 def _gold_from_frame(
@@ -185,7 +188,7 @@ def generate_dataset(
             scene = SceneRef(scene_seed, n, brick_mode=True)
             truth = synth_structure(scene_seed, n)
             target = truth if rng.random() < 0.5 else recolor_brick(truth, rng)
-            value, units = gold_for_item(category, scene, None, None, target, config)
+            value, units = _gold_from_structure(truth, target, config)
             items.append(QaItem(
                 question=render_question(category),
                 category=category,
@@ -384,9 +387,7 @@ def run_reassembly(
         stage = "describe"
         description_ok = describe(rebuilt) == describe(target)
         stage = "plan"
-        assembly, _traces = reason_over_plan(
-            rebuilt, workspace=config.workspace, thresholds=config.thresholds
-        )
+        assembly, _traces = reason_over_plan(rebuilt)
         stage = "assemble"
         built = replay(assembly)
         assembly_ok = equals(built, target)

@@ -19,8 +19,9 @@ from enum import Enum
 from random import Random
 from typing import TYPE_CHECKING
 
-from .errors import InvalidPose, InvalidStructure, NonBrickNode, ParseError, SnapAmbiguity
+from .errors import InvalidPose, InvalidStructure, NonBrickNode, ParseError, SchemaVersionMismatch, SnapAmbiguity
 from .geometry import PALETTE, Box, color_text
+from .jsonfile import parse_list
 
 if TYPE_CHECKING:  # avoids a runtime cycle; from_graph duck-types the graph
     from .scene import SceneGraph
@@ -114,11 +115,29 @@ class PlacedBrick:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlacedBrick":
+        if not isinstance(data, dict):
+            raise ParseError(f"expected a JSON object, got {data!r}")
         try:
-            spec = BrickSpec(data["color"], tuple(int(v) for v in data["footprint"]))
-            return cls(spec, tuple(int(v) for v in data["origin"]), int(data["layer"]))
+            color, layer = data["color"], data["layer"]
+            footprint, origin = _int_pair(data, "footprint"), _int_pair(data, "origin")
         except KeyError as e:
             raise ParseError(f"brick missing {e.args[0]!r}", field=e.args[0]) from e
+        if not isinstance(color, str):
+            raise ParseError(f"expected a color name, got {color!r}", field="color")
+        if not _is_int(layer):
+            raise ParseError(f"expected an integer, got {layer!r}", field="layer")
+        return cls(BrickSpec(color, footprint), origin, layer)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_pair(data: dict, key: str) -> tuple[int, int]:
+    value = data[key]
+    if not (isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)):
+        raise ParseError(f"expected a list of 2 integers, got {value!r}", field=key)
+    return (value[0], value[1])
 
 
 STRUCTURE_SCHEMA = "espatial-lego/1"
@@ -163,15 +182,12 @@ class LegoStructure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LegoStructure":
-        from .errors import SchemaVersionMismatch
-
         schema = data.get("schema")
         if schema != STRUCTURE_SCHEMA:
             raise SchemaVersionMismatch(schema, STRUCTURE_SCHEMA)
-        bricks = data.get("bricks")
-        if not isinstance(bricks, list):
-            raise ParseError("bricks must be a list", field="bricks")
-        return cls(tuple(PlacedBrick.from_dict(b) for b in bricks))
+        if "bricks" not in data:
+            raise ParseError("structure missing 'bricks'", field="bricks")
+        return cls(parse_list(data, "bricks", PlacedBrick.from_dict))
 
 
 class ViolationKind(str, Enum):

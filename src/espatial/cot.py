@@ -48,7 +48,6 @@ from .errors import (
     ClaimGrammarError,
     DuplicateNodeId,
     EngineError,
-    InvalidStructure,
     ParseError,
     PlanValidationFailure,
     SnapAmbiguity,
@@ -75,7 +74,7 @@ from .query import (
 )
 from .query import answer as evaluate_query
 from .questions import parse_question
-from .scene import Action, ObjectNode, SceneGraph, apply_action
+from .scene import Action, ObjectNode, SceneGraph, update_node_states
 
 TRACE_SCHEMA = "espatial-trace/1"
 
@@ -621,35 +620,40 @@ def reason(
 def reason_over_plan(
     target: LegoStructure,
     graph: SceneGraph | None = None,
-    workspace: WorkspaceEnvelope = DEFAULT_WORKSPACE,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[AssemblyPlan, tuple[ReasoningTrace, ...]]:
     """Plan the target and simulate it command by command.
 
     Before each placement a support claim is validated against the current
-    simulated graph; the graph then advances through the scene dynamics.
+    simulated graph. The placement's cells are then checked against one set
+    of occupied cells, seeded from the starting graph and grown per command:
+    a command that meets it fails as ``cell_collision``. The successor
+    snapshot carries nodes only, with no relations derived, because no
+    planning step reads one. After the last command the simulated graph is
+    audited once: it must snap to a valid structure equal to the target.
     The starting graph must contain only brick nodes (default: empty).
     Ordering and validation are deterministic and graph-local, so no
     reasoning client is consulted here.
     """
     sim = graph if graph is not None else SceneGraph.empty("synthetic")
+    occupied = set(_brick_cells(sim))
     commands = ordered_commands(target)
     traces: list[ReasoningTrace] = []
     for i, command in enumerate(commands):
         x, y = command.position
         claim = f"supported {x} {y} {command.layer} {command.spec.size}"
-        before = sim
-        step = validate_step(StepProposal(claim), sim, workspace, thresholds=thresholds)
+        step = validate_step(StepProposal(claim), sim)
         if step.status is StepStatus.REJECTED:
             raise PlanValidationFailure(i, step.rule, claim)
         try:
-            sim = apply_action(sim, Action.place_brick(command), thresholds)
-            from_graph(sim)  # collision and support audit of the simulated state
+            nodes = update_node_states(sim, Action.place_brick(command))
         except DuplicateNodeId as e:
             raise PlanValidationFailure(i, "cell_collision", claim) from e
-        except InvalidStructure as e:
-            raise PlanValidationFailure(i, e.violations[0].kind.value, claim) from e
-        traces.append(ReasoningTrace((step,), None, 0, before))
+        cells = command.to_brick().cells3()
+        if not occupied.isdisjoint(cells):
+            raise PlanValidationFailure(i, "cell_collision", claim)
+        occupied |= cells
+        traces.append(ReasoningTrace((step,), None, 0, sim))
+        sim = SceneGraph(t=sim.t + 1, nodes=nodes, provenance=sim.provenance)
     built = from_graph(sim)
     if not equals(built, target):
         raise PlanValidationFailure(len(commands), "UnsupportedClaim", "result mismatch")

@@ -16,8 +16,8 @@ from typing import Sequence
 from .bricks import DEFAULT_STUD_FRAME, LegoStructure, brick_label, node_footprint, random_structure
 from .errors import InvalidDepth, MisalignedInputs, ParseError, SchemaVersionMismatch
 from .geometry import DEFAULT_THRESHOLDS, PALETTE, Box, Thresholds, classify_color, color_text, derive_all
-from .jsonfile import read_json_object, write_json
-from .scene import ObjectNode, SceneGraph, _parse_list, merge_edge_confidence, size_class_for_box
+from .jsonfile import parse_list, read_json_object, write_json
+from .scene import ObjectNode, SceneGraph, merge_edge_confidence, size_class_for_box
 
 SCENE_SCHEMA = "espatial-scene/1"
 
@@ -281,7 +281,7 @@ def frame_from_dict(data: dict) -> PerceptionFrame:
     if schema != SCENE_SCHEMA:
         raise SchemaVersionMismatch(schema, SCENE_SCHEMA)
     try:
-        rows = _parse_list(data, "detections", _detection_from_dict)
+        rows = parse_list(data, "detections", _detection_from_dict)
         return PerceptionFrame(data["image_ref"], tuple(r for r, _ in rows), tuple(d for _, d in rows),
                                t=int(data.get("t", 0)))
     except KeyError as e:

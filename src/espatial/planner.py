@@ -109,8 +109,8 @@ def plan(target: LegoStructure) -> AssemblyPlan:
     """Plan a valid canonical target bottom-up.
 
     Under the one-cell support rule the bottom-up order is always feasible;
-    the prefix check below is defensive and would reject a target admitting
-    no valid linear order.
+    the replay below is defensive and would reject a target admitting no
+    valid linear order.
     """
     violations = validate(target)
     if violations:
@@ -118,12 +118,10 @@ def plan(target: LegoStructure) -> AssemblyPlan:
     if canonicalize(target) != target:
         raise InvalidTarget("target must be canonical (bottom-left stud at (0, 0))")
     commands = ordered_commands(target)
-    partial = LegoStructure()
-    for i, command in enumerate(commands):
-        partial = partial.with_brick(command.to_brick())
-        if validate(partial):
-            raise InvalidTarget(f"no support-valid linear order: prefix fails at command {i}")
-    built = replay(AssemblyPlan(commands, ""))
+    try:
+        built = replay(AssemblyPlan(commands, ""))
+    except ReplayViolation as e:
+        raise InvalidTarget(f"no support-valid linear order: prefix fails at command {e.index}") from e
     if not equals(built, target):
         raise InvalidTarget("planned commands do not rebuild the target")
     return AssemblyPlan(commands, target_digest(target))
@@ -131,14 +129,29 @@ def plan(target: LegoStructure) -> AssemblyPlan:
 
 def replay(assembly: AssemblyPlan) -> LegoStructure:
     """Fold commands from the empty structure, failing on the first
-    violation with the offending command index."""
-    structure = LegoStructure()
+    violation with the offending command index.
+
+    The fold keeps one set of occupied cells, so a command costs
+    O(footprint). Only a command that collides or floats validates its
+    prefix in full, so the error lists every violation :func:`validate`
+    finds there. Exact duplicate bricks collapse, as in a
+    :class:`LegoStructure`.
+    """
+    placed: set[PlacedBrick] = set()
+    occupied: set[tuple[int, int, int]] = set()
     for i, command in enumerate(assembly.commands):
-        structure = structure.with_brick(command.to_brick())
-        violations = validate(structure)
-        if violations:
-            raise ReplayViolation(i, violations)
-    return structure
+        brick = command.to_brick()
+        if brick in placed:
+            continue
+        cells = brick.cells3()
+        supported = brick.layer == 0 or any(
+            (x, y, brick.layer - 1) in occupied for x, y, _ in cells
+        )
+        if not supported or not occupied.isdisjoint(cells):
+            raise ReplayViolation(i, validate(LegoStructure(tuple(placed) + (brick,))))
+        placed.add(brick)
+        occupied |= cells
+    return LegoStructure(tuple(placed))
 
 
 # --- text grammar ------------------------------------------------------------

@@ -26,6 +26,7 @@ from .geometry import (
     derive_all,
     lift_to_3d,
 )
+from .jsonfile import parse_list
 
 SIZE_CLASSES = ("tiny", "small", "medium", "large")
 
@@ -230,8 +231,8 @@ class SceneGraph:
         if schema != GRAPH_SCHEMA:
             raise SchemaVersionMismatch(schema, GRAPH_SCHEMA)
         try:
-            nodes = _parse_list(data, "nodes", ObjectNode.from_dict)
-            edges = _parse_list(data, "edges", _edge_from_dict)
+            nodes = parse_list(data, "nodes", ObjectNode.from_dict)
+            edges = parse_list(data, "edges", _edge_from_dict)
             return cls(t=int(data["t"]), nodes=nodes, edges=edges,
                        provenance=data.get("provenance", "file"))
         except KeyError as e:
@@ -250,21 +251,6 @@ def _edge_from_dict(data: dict) -> RelationEdge:
         raise ParseError(f"edge missing {e.args[0]!r}", field=e.args[0]) from e
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad edge value: {e}") from e
-
-
-def _parse_list(data: dict, key: str, parse) -> tuple:
-    """Parse the JSON list ``data[key]`` item by item; an error names the
-    item's field path, e.g. ``nodes[0].bbox``."""
-    items = data[key]
-    if not isinstance(items, list):
-        raise ParseError(f"expected a JSON list, got {items!r}", field=key)
-    parsed = []
-    for i, item in enumerate(items):
-        try:
-            parsed.append(parse(item))
-        except ParseError as e:
-            raise e.within(f"{key}[{i}]") from e
-    return tuple(parsed)
 
 
 # --- events ----------------------------------------------------------------

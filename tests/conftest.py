@@ -7,6 +7,7 @@ from random import Random
 import hypothesis.strategies as st
 import pytest
 
+from espatial.bricks import FOOTPRINT_PLACEMENTS, BrickSpec, PlacedBrick, random_structure
 from espatial.geometry import PALETTE, Box
 from espatial.scene import ObjectNode
 
@@ -34,6 +35,30 @@ def random_node(rng: Random, node_id: str, color: str | None = None) -> ObjectNo
 
 def random_nodes(rng: Random, n: int) -> tuple[ObjectNode, ...]:
     return tuple(random_node(rng, f"n{i}") for i in range(n))
+
+
+def faulty_bricks(rng: Random, n: int) -> list[PlacedBrick]:
+    """A random valid structure's bricks with one to three faults inserted
+    at random places: a brick at a random raised layer (mostly floating),
+    an overlap from another origin, another spec at a taken origin, or an
+    exact duplicate."""
+    bricks = list(random_structure(rng, n).bricks)
+    for _ in range(rng.randint(1, 3)):
+        base = rng.choice(bricks)
+        spec = BrickSpec(rng.choice(COLORS), rng.choice(FOOTPRINT_PLACEMENTS))
+        fault = rng.choice(("floating", "overlap", "respec", "duplicate"))
+        if fault == "floating":
+            brick = PlacedBrick(spec, (rng.randint(0, 8), rng.randint(0, 8)), rng.randint(1, 4))
+        elif fault == "overlap":
+            dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)))
+            origin = (base.x + dx, base.y + dy)
+            brick = PlacedBrick(spec, origin if min(origin) >= 0 else (base.x + 1, base.y), base.layer)
+        elif fault == "respec":
+            brick = PlacedBrick(spec, base.origin, base.layer)
+        else:
+            brick = base
+        bricks.insert(rng.randint(0, len(bricks)), brick)
+    return bricks
 
 
 @st.composite

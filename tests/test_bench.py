@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,21 @@ from espatial.bench import (
 from espatial.bricks import LegoStructure
 from espatial.config import EngineConfig
 from espatial.query import QueryCategory
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call ``espatial.bench`` makes to ``name``."""
+    import espatial.bench
+
+    calls = []
+    real = getattr(espatial.bench, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(espatial.bench, name, counting)
+    return calls
 
 
 class TestGenerateDataset:
@@ -51,19 +67,16 @@ class TestGenerateDataset:
             assert units == item.gold_units
 
     def test_each_object_scene_rendered_once(self, monkeypatch):
-        import espatial.bench
-
-        calls = []
-        real = espatial.bench.synth_frame
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(espatial.bench, "synth_frame", counting)
+        calls = count_calls(monkeypatch, "synth_frame")
         ds = generate_dataset(5, 200)
         object_items = [i for i in ds.items if not i.scene.brick_mode]
         assert len(calls) == len(object_items) == 177
+
+    def test_each_brick_truth_built_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "synth_structure")
+        ds = generate_dataset(5, 200)
+        brick_items = [i for i in ds.items if i.scene.brick_mode]
+        assert len(calls) == len(brick_items) == 23
 
     def test_round_trip_file(self, tmp_path):
         ds = generate_dataset(3, 15)
@@ -177,6 +190,13 @@ class TestReassembly:
         assert result.stage_failed == "perceive"
         assert result.error.startswith("InvalidPose")
         assert not (result.description_ok or result.assembly_ok)
+
+    def test_outcomes_pinned(self):
+        # the outcomes a full re-derivation and audit after every placement
+        # gives; simulating on brick cells must reproduce them byte for byte
+        outcomes = [run_reassembly(s, 24, d).to_dict() for s in range(60) for d in (None, 0)]
+        digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert digest == "e10507c3c11cc4a9df68f192908a06218bc067bcdff87a960758eb37b80557e6"
 
     def test_perception_dropout_detected(self):
         # drop one detection: the described structure can no longer match

@@ -214,6 +214,20 @@ class TestFileBoundary:
         assert run_cli(*(a.format(**paths) for a in argv)) == 1
         assert_one_error_line(capsys, "expected a JSON object")
 
+    @pytest.mark.parametrize("brick, field", [
+        (1, "'bricks[0]'"),
+        ({"color": "red", "footprint": [1, 1], "origin": "12", "layer": 0}, "'bricks[0].origin'"),
+        ({"color": "red", "footprint": [1], "origin": [0, 0], "layer": 0}, "'bricks[0].footprint'"),
+        ({"color": "red", "footprint": [1, 1], "origin": [0, 0], "layer": "0"}, "'bricks[0].layer'"),
+    ], ids=["brick_not_an_object", "origin_string", "footprint_of_one", "layer_string"])
+    @pytest.mark.parametrize("argv", [("validate", "--structure"), ("plan", "--target")],
+                             ids=["validate", "plan"])
+    def test_malformed_structure_is_one_error_line(self, tmp_path, capsys, argv, brick, field):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps({"schema": "espatial-lego/1", "bricks": [brick]}))
+        assert run_cli(*argv, str(path)) == 1
+        assert_one_error_line(capsys, field)
+
 
 class TestGoldenReport:
     def test_bench_matches_golden_fixture(self, tmp_path):

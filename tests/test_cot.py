@@ -10,13 +10,16 @@ from espatial.bricks import (
     BrickSpec,
     LegoStructure,
     PlacedBrick,
+    canonicalize,
     equals,
+    from_graph,
     random_structure,
     recolor_brick,
 )
 from espatial.cot import (
     ClientReply,
     FallbackReasoner,
+    ReasoningTrace,
     StepProposal,
     StepStatus,
     build_context,
@@ -27,14 +30,20 @@ from espatial.cot import (
     serialize_graph,
     validate_step,
 )
-from espatial.errors import ClaimGrammarError, PlanValidationFailure
+from espatial.errors import (
+    ClaimGrammarError,
+    DuplicateNodeId,
+    EngineError,
+    InvalidStructure,
+    PlanValidationFailure,
+)
 from espatial.perception import build_graph, frame_from_structure, synth_scene, synth_structure
-from espatial.planner import replay
+from espatial.planner import AssemblyPlan, ordered_commands, replay, target_digest
 from espatial.query import DEFAULT_WORKSPACE, QueryCategory, SpatialQuery, WorkspaceEnvelope, answer
 from espatial.questions import render_question
-from espatial.scene import SceneGraph
+from espatial.scene import Action, SceneGraph, apply_action
 
-from .conftest import make_node, random_nodes
+from .conftest import faulty_bricks, make_node, random_nodes
 
 
 class TestSerializeGraph:
@@ -418,3 +427,61 @@ class TestReasonOverPlan:
             target = random_structure(rng, rng.randint(1, 10))
             assembly, _ = reason_over_plan(target)
             assert equals(replay(assembly), target)
+
+
+def reference_reason_over_plan(target):
+    """The full simulation the planner's cell-set fold must agree with:
+    scene dynamics with every relation derived, and a snap-and-validate
+    audit of the whole simulated structure after every placement."""
+    sim = SceneGraph.empty()
+    commands = ordered_commands(target)
+    traces = []
+    for i, command in enumerate(commands):
+        x, y = command.position
+        claim = f"supported {x} {y} {command.layer} {command.spec.size}"
+        step = validate_step(StepProposal(claim), sim)
+        if step.status is StepStatus.REJECTED:
+            raise PlanValidationFailure(i, step.rule, claim)
+        before = sim
+        try:
+            sim = apply_action(sim, Action.place_brick(command))
+            from_graph(sim)
+        except DuplicateNodeId as e:
+            raise PlanValidationFailure(i, "cell_collision", claim) from e
+        except InvalidStructure as e:
+            raise PlanValidationFailure(i, e.violations[0].kind.value, claim) from e
+        traces.append(ReasoningTrace((step,), None, 0, before))
+    if not equals(from_graph(sim), target):
+        raise PlanValidationFailure(len(commands), "UnsupportedClaim", "result mismatch")
+    return AssemblyPlan(commands, target_digest(canonicalize(target))), tuple(traces)
+
+
+def plan_outcome(fn, target):
+    """Plan, steps and snapshot nodes per command, or the error's identity.
+    Snapshot relations are left out: the planner's snapshots carry none."""
+    try:
+        assembly, traces = fn(target)
+    except EngineError as e:
+        return type(e), str(e), getattr(e, "index", None), getattr(e, "rule", None)
+    return assembly, [(t.steps, t.graph.t, t.graph.nodes) for t in traces]
+
+
+class TestReasonOverPlanReferee:
+    def test_valid_structures_match_full_simulation(self, rng):
+        for trial in range(60):
+            target = random_structure(rng, rng.randint(1, 14))
+            got = plan_outcome(reason_over_plan, target)
+            assert got == plan_outcome(reference_reason_over_plan, target), f"trial {trial}"
+            assert isinstance(got[0], AssemblyPlan)
+
+    def test_faulty_targets_match_full_simulation(self, rng):
+        rules = set()
+        for trial in range(300):
+            target = LegoStructure(tuple(faulty_bricks(rng, rng.randint(1, 10))))
+            got = plan_outcome(reason_over_plan, target)
+            assert got == plan_outcome(reference_reason_over_plan, target), f"trial {trial}"
+            if not isinstance(got[0], AssemblyPlan):
+                rules.add(got[3])
+        # both failure rules occur, so the referee covers both paths
+        assert {"UnsupportedClaim", "cell_collision"} <= rules
+

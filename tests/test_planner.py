@@ -21,12 +21,15 @@ from espatial.geometry import PALETTE
 from espatial.planner import (
     AssemblyPlan,
     PlacementCommand,
+    ordered_commands,
     parse_command,
     plan,
     replay,
     serialize_command,
 )
 from espatial.scene import Action, SceneGraph, apply_action
+
+from .conftest import faulty_bricks
 
 
 def command(color, footprint, position, layer) -> PlacementCommand:
@@ -91,6 +94,51 @@ class TestReplay:
     def test_plan_replays_to_target(self, rng):
         target = random_structure(rng, 12)
         assert equals(replay(plan(target)), target)
+
+
+def reference_replay(assembly: AssemblyPlan) -> LegoStructure:
+    """The fold the cell-set replay must agree with: validate every prefix
+    in full."""
+    structure = LegoStructure()
+    for i, cmd in enumerate(assembly.commands):
+        structure = structure.with_brick(cmd.to_brick())
+        violations = validate(structure)
+        if violations:
+            raise ReplayViolation(i, violations)
+    return structure
+
+
+def replay_outcome(fn, commands):
+    try:
+        return fn(AssemblyPlan(tuple(commands), "x"))
+    except ReplayViolation as e:
+        return e.index, e.violations, str(e)
+
+
+class TestReplayReferee:
+    def test_valid_plans_match_prefix_validation(self, rng):
+        for trial in range(60):
+            commands = ordered_commands(random_structure(rng, rng.randint(1, 15)))
+            got = replay_outcome(replay, commands)
+            assert got == replay_outcome(reference_replay, commands), f"trial {trial}"
+            assert isinstance(got, LegoStructure)
+
+    def test_faulty_plans_match_prefix_validation(self, rng):
+        kinds = set()
+        for trial in range(300):
+            bricks = faulty_bricks(rng, rng.randint(1, 10))
+            if rng.random() < 0.5:  # bottom-up, as a planner would order them
+                bricks.sort(key=PlacedBrick.sort_key)
+            commands = [PlacementCommand.from_brick(b) for b in bricks]
+            got = replay_outcome(replay, commands)
+            assert got == replay_outcome(reference_replay, commands), f"trial {trial}"
+            if not isinstance(got, LegoStructure):
+                kinds.update(v.kind.value for v in got[1])
+        assert {"floating", "cell_collision"} <= kinds
+
+    def test_exact_duplicate_collapses(self):
+        brick = command("red", (2, 2), (0, 0), 0)
+        assert replay(AssemblyPlan((brick, brick), "x")) == LegoStructure.of(brick.to_brick())
 
 
 class TestGrammar:
