@@ -141,8 +141,8 @@ def gold_for_item(
     target: LegoStructure | None,
     config: EngineConfig,
 ):
-    """Oracle gold answer for one item, recomputed from scratch; used at
-    generation time and again by the double-run agreement checks."""
+    """Oracle gold answer for one item, recomputed from scratch for the
+    double-run agreement checks."""
     if category is QueryCategory.SUCCESS_JUDGMENT:
         return _gold_from_structure(synth_structure(scene.seed, scene.n_objects), target, config)
     return _gold_from_frame(category, synth_frame(scene.seed, scene.n_objects), idx_a, idx_b, config)
@@ -169,7 +169,6 @@ def _gold_from_frame(
 def generate_dataset(
     seed: int,
     n_items: int,
-    mix: dict[QueryCategory, float] | None = None,
     config: EngineConfig | None = None,
 ) -> QaDataset:
     """Deterministic oracle-labeled dataset across the seven categories."""
@@ -177,7 +176,7 @@ def generate_dataset(
         raise ValueError("n_items must be non-negative")
     config = config or EngineConfig()
     categories = list(QueryCategory)
-    weights = [float((mix or {}).get(c, 1.0)) for c in categories]
+    weights = [1.0] * len(categories)  # rng.choices draws differently without weights
     rng = Random(f"dataset-{seed}")
     items: list[QaItem] = []
     for _ in range(n_items):

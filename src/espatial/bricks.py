@@ -122,8 +122,10 @@ class PlacedBrick:
             footprint, origin = _int_pair(data, "footprint"), _int_pair(data, "origin")
         except KeyError as e:
             raise ParseError(f"brick missing {e.args[0]!r}", field=e.args[0]) from e
-        if not isinstance(color, str):
-            raise ParseError(f"expected a color name, got {color!r}", field="color")
+        if not isinstance(color, str) or color not in PALETTE:
+            raise ParseError(f"unknown color {color!r}", field="color")
+        if not is_supported_footprint(*footprint):
+            raise ParseError(f"unsupported footprint {footprint_label(footprint)}", field="footprint")
         if not _is_int(layer):
             raise ParseError(f"expected an integer, got {layer!r}", field="layer")
         return cls(BrickSpec(color, footprint), origin, layer)
@@ -182,6 +184,8 @@ class LegoStructure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LegoStructure":
+        if not isinstance(data, dict):
+            raise ParseError(f"expected a JSON object, got {data!r}")
         schema = data.get("schema")
         if schema != STRUCTURE_SCHEMA:
             raise SchemaVersionMismatch(schema, STRUCTURE_SCHEMA)
@@ -208,16 +212,26 @@ class Violation:
         return f"{self.kind.value} [{where}]{suffix}"
 
 
+def supporters(cells: dict[tuple[int, int, int], object], x: int, y: int, layer: int,
+               footprint: tuple[int, int]) -> set:
+    """The support rule: owners of the occupied cells directly beneath a
+    footprint placed at (x, y, layer). A brick above layer 0 stands only
+    when this is non-empty."""
+    w, l = footprint
+    beneath = ((x + i, y + j, layer - 1) for i in range(w) for j in range(l))
+    return {cells[cell] for cell in beneath if cell in cells}
+
+
 def validate(structure: LegoStructure) -> list[Violation]:
     """Every physical-rule violation, with the offending brick.
 
-    An empty list means the structure is valid. Support requires at least
-    one occupied cell directly below a brick above layer 0; collisions are
-    reported once per participating brick.
+    An empty list means the structure is valid. Support follows
+    :func:`supporters`; collisions are reported once per participating
+    brick.
     """
     violations: list[Violation] = []
     occupancy = structure.occupancy
-    for i, brick in enumerate(structure.bricks):
+    for brick in structure.bricks:
         if brick.x < 0 or brick.y < 0 or brick.layer < 0:
             violations.append(Violation(
                 ViolationKind.NEGATIVE_COORDINATE, brick,
@@ -230,10 +244,8 @@ def validate(structure: LegoStructure) -> list[Violation]:
             violations.append(Violation(
                 ViolationKind.CELL_COLLISION, brick, f"cells {shared}",
             ))
-        if brick.layer > 0:
-            below = ((cx, cy, brick.layer - 1) for cx, cy in brick.cells())
-            if not any(cell in occupancy for cell in below):
-                violations.append(Violation(ViolationKind.FLOATING, brick))
+        if brick.layer > 0 and not supporters(occupancy, brick.x, brick.y, brick.layer, brick.spec.footprint):
+            violations.append(Violation(ViolationKind.FLOATING, brick))
     violations.sort(key=lambda v: (v.brick.sort_key(), v.kind.value))
     return violations
 
@@ -417,7 +429,7 @@ def random_structure(rng: Random, n_bricks: int) -> LegoStructure:
     """
     palette = tuple(PALETTE)
     bricks: list[PlacedBrick] = []
-    cells: set[tuple[int, int, int]] = set()
+    cells: dict[tuple[int, int, int], PlacedBrick] = {}
     for _ in range(n_bricks):
         placed = None
         for _attempt in range(200):
@@ -435,17 +447,16 @@ def random_structure(rng: Random, n_bricks: int) -> LegoStructure:
             candidate = PlacedBrick(spec, origin, layer)
             if candidate.x < 0 or candidate.y < 0:
                 continue
-            cand_cells = candidate.cells3()
-            if cand_cells & cells:
+            if any(cell in cells for cell in candidate.cells3()):
                 continue
-            if layer > 0 and not any((cx, cy, layer - 1) in cells for cx, cy in candidate.cells()):
+            if layer > 0 and not supporters(cells, *origin, layer, spec.footprint):
                 continue
             placed = candidate
             break
         if placed is None:
             break
         bricks.append(placed)
-        cells |= placed.cells3()
+        cells.update(dict.fromkeys(placed.cells3(), placed))
     return canonicalize(LegoStructure(tuple(bricks)))
 
 

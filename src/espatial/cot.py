@@ -41,12 +41,12 @@ from .bricks import (
     from_graph,
     node_footprint,
     parse_footprint,
+    supporters,
 )
 from .config import TOKEN_ENV
 from .errors import (
     BackendUnavailable,
     ClaimGrammarError,
-    DuplicateNodeId,
     EngineError,
     ParseError,
     PlanValidationFailure,
@@ -345,6 +345,17 @@ def _finish(proposal: StepProposal, status: StepStatus, refs: tuple[str, ...] = 
                          tuple(proposal.refs), status, rule)
 
 
+def _support_step(proposal: StepProposal, cells: dict[tuple[int, int, int], str],
+                  x: int, y: int, layer: int, footprint: tuple[int, int]) -> ReasoningStep:
+    """Verdict on a ``supported`` claim over a stud cell -> node id map."""
+    if layer == 0:
+        return _finish(proposal, StepStatus.VALIDATED, ("ground",))
+    owners = supporters(cells, x, y, layer, footprint)
+    if owners:
+        return _finish(proposal, StepStatus.VALIDATED, tuple(sorted(owners)))
+    return _finish(proposal, StepStatus.REJECTED, rule="UnsupportedClaim")
+
+
 def validate_step(
     proposal: StepProposal | ReasoningStep,
     graph: SceneGraph,
@@ -421,18 +432,8 @@ def validate_step(
 
     if parsed.kind == "supported":
         x, y, layer = parsed.cell
-        if layer == 0:
-            return validated("ground")
-        cells = _brick_cells(graph)
-        w, l = parsed.footprint
-        supporters = sorted({
-            cells[(x + i, y + j, layer - 1)]
-            for i in range(w) for j in range(l)
-            if (x + i, y + j, layer - 1) in cells
-        })
-        if supporters:
-            return validated(*supporters)
-        return rejected("UnsupportedClaim")
+        cells = _brick_cells(graph) if layer else {}
+        return _support_step(proposal, cells, x, y, layer, parsed.footprint)
 
     raise ClaimGrammarError(f"unhandled claim kind {parsed.kind!r}")
 
@@ -617,41 +618,33 @@ def reason(
     return result, ReasoningTrace(tuple(log), result, retries, graph)
 
 
-def reason_over_plan(
-    target: LegoStructure,
-    graph: SceneGraph | None = None,
-) -> tuple[AssemblyPlan, tuple[ReasoningTrace, ...]]:
-    """Plan the target and simulate it command by command.
+def reason_over_plan(target: LegoStructure) -> tuple[AssemblyPlan, tuple[ReasoningTrace, ...]]:
+    """Plan the target and simulate it command by command from an empty graph.
 
-    Before each placement a support claim is validated against the current
-    simulated graph. The placement's cells are then checked against one set
-    of occupied cells, seeded from the starting graph and grown per command:
-    a command that meets it fails as ``cell_collision``. The successor
-    snapshot carries nodes only, with no relations derived, because no
-    planning step reads one. After the last command the simulated graph is
-    audited once: it must snap to a valid structure equal to the target.
-    The starting graph must contain only brick nodes (default: empty).
-    Ordering and validation are deterministic and graph-local, so no
-    reasoning client is consulted here.
+    The simulation keeps one map from stud cell to node id, grown per
+    command. Before each placement a support claim is validated against
+    that map, and a command whose cells are already in it fails as
+    ``cell_collision``. Each trace carries the simulated graph the claim ran
+    against, with nodes only and no relations derived, because no planning
+    step reads one. After the last command the simulated graph is audited
+    once: it must snap to a valid structure equal to the target. Ordering
+    and validation are deterministic, so no reasoning client is consulted.
     """
-    sim = graph if graph is not None else SceneGraph.empty("synthetic")
-    occupied = set(_brick_cells(sim))
+    sim = SceneGraph.empty("synthetic")
+    cells: dict[tuple[int, int, int], str] = {}
     commands = ordered_commands(target)
     traces: list[ReasoningTrace] = []
     for i, command in enumerate(commands):
-        x, y = command.position
-        claim = f"supported {x} {y} {command.layer} {command.spec.size}"
-        step = validate_step(StepProposal(claim), sim)
+        (x, y), layer = command.position, command.layer
+        claim = f"supported {x} {y} {layer} {command.spec.size}"
+        step = _support_step(StepProposal(claim), cells, x, y, layer, command.spec.footprint)
         if step.status is StepStatus.REJECTED:
             raise PlanValidationFailure(i, step.rule, claim)
-        try:
-            nodes = update_node_states(sim, Action.place_brick(command))
-        except DuplicateNodeId as e:
-            raise PlanValidationFailure(i, "cell_collision", claim) from e
-        cells = command.to_brick().cells3()
-        if not occupied.isdisjoint(cells):
+        new_cells = command.to_brick().cells3()
+        if any(cell in cells for cell in new_cells):
             raise PlanValidationFailure(i, "cell_collision", claim)
-        occupied |= cells
+        nodes = update_node_states(sim, Action.place_brick(command))
+        cells.update(dict.fromkeys(new_cells, nodes[-1].id))
         traces.append(ReasoningTrace((step,), None, 0, sim))
         sim = SceneGraph(t=sim.t + 1, nodes=nodes, provenance=sim.provenance)
     built = from_graph(sim)

@@ -24,9 +24,10 @@ from .bricks import (
     canonicalize,
     equals,
     is_supported_footprint,
+    supporters,
     validate,
 )
-from .errors import GrammarError, InvalidPose, InvalidTarget, ReplayViolation, SchemaVersionMismatch
+from .errors import GrammarError, InvalidPose, InvalidTarget, ReplayViolation
 from .geometry import PALETTE, color_name, color_text
 
 PLAN_SCHEMA = "espatial-plan/1"
@@ -60,11 +61,6 @@ class PlacementCommand:
             "layer": self.layer,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlacementCommand":
-        spec = BrickSpec(data["color"], tuple(int(v) for v in data["footprint"]))
-        return cls(spec, tuple(int(v) for v in data["position"]), int(data["layer"]))
-
 
 @dataclass(frozen=True)
 class AssemblyPlan:
@@ -82,16 +78,6 @@ class AssemblyPlan:
             "target_hash": self.target_hash,
             "commands": [c.to_dict() for c in self.commands],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssemblyPlan":
-        schema = data.get("schema")
-        if schema != PLAN_SCHEMA:
-            raise SchemaVersionMismatch(schema, PLAN_SCHEMA)
-        return cls(
-            tuple(PlacementCommand.from_dict(c) for c in data["commands"]),
-            data["target_hash"],
-        )
 
 
 def target_digest(target: LegoStructure) -> str:
@@ -131,26 +117,24 @@ def replay(assembly: AssemblyPlan) -> LegoStructure:
     """Fold commands from the empty structure, failing on the first
     violation with the offending command index.
 
-    The fold keeps one set of occupied cells, so a command costs
+    The fold keeps one map of occupied cells, so a command costs
     O(footprint). Only a command that collides or floats validates its
     prefix in full, so the error lists every violation :func:`validate`
     finds there. Exact duplicate bricks collapse, as in a
     :class:`LegoStructure`.
     """
     placed: set[PlacedBrick] = set()
-    occupied: set[tuple[int, int, int]] = set()
+    occupied: dict[tuple[int, int, int], PlacedBrick] = {}
     for i, command in enumerate(assembly.commands):
         brick = command.to_brick()
         if brick in placed:
             continue
         cells = brick.cells3()
-        supported = brick.layer == 0 or any(
-            (x, y, brick.layer - 1) in occupied for x, y, _ in cells
-        )
-        if not supported or not occupied.isdisjoint(cells):
+        floats = brick.layer > 0 and not supporters(occupied, brick.x, brick.y, brick.layer, brick.spec.footprint)
+        if floats or any(cell in occupied for cell in cells):
             raise ReplayViolation(i, validate(LegoStructure(tuple(placed) + (brick,))))
         placed.add(brick)
-        occupied |= cells
+        occupied.update(dict.fromkeys(cells, brick))
     return LegoStructure(tuple(placed))
 
 

@@ -120,6 +120,9 @@ class Answer:
 
 @dataclass(frozen=True)
 class SpatialQuery:
+    """A structured query; ``params["target"]``, when present, is a
+    :class:`LegoStructure` (``from_dict`` parses it from its file form)."""
+
     category: QueryCategory
     subject_id: str | None = None
     object_id: str | None = None
@@ -149,12 +152,18 @@ class SpatialQuery:
             category = QueryCategory(data["category"])
         except (KeyError, ValueError) as e:
             raise ParseError(f"bad query category: {e}", field="category") from e
-        return cls(
-            category=category,
-            subject_id=data.get("subject"),
-            object_id=data.get("object"),
-            params=data.get("params", {}),
-        )
+        for key in ("subject", "object"):
+            if not isinstance(data.get(key), (str, type(None))):
+                raise ParseError(f"expected a node id or null, got {data[key]!r}", field=key)
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ParseError(f"expected a JSON object, got {params!r}", field="params")
+        if params.get("target") is not None:
+            try:
+                params = {**params, "target": LegoStructure.from_dict(params["target"])}
+            except ParseError as e:
+                raise e.within("params.target") from e
+        return cls(category, data.get("subject"), data.get("object"), params)
 
 
 def _require_node(graph: SceneGraph, node_id: str | None, role: str):
@@ -285,10 +294,9 @@ def answer(
         return Answer(value=reachable, trace=(reach_claim, no_block))
 
     if category is QueryCategory.SUCCESS_JUDGMENT:
-        raw_target = query.params.get("target")
-        if raw_target is None:
+        target = query.params.get("target")
+        if target is None:
             raise CategoryParamMismatch("success judgment requires params['target']")
-        target = raw_target if isinstance(raw_target, LegoStructure) else LegoStructure.from_dict(raw_target)
         built = from_graph(graph)
         if equals(built, target):
             refs = tuple(n.id for n in graph.nodes) + ("param:target",)

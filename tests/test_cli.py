@@ -219,13 +219,34 @@ class TestFileBoundary:
         ({"color": "red", "footprint": [1, 1], "origin": "12", "layer": 0}, "'bricks[0].origin'"),
         ({"color": "red", "footprint": [1], "origin": [0, 0], "layer": 0}, "'bricks[0].footprint'"),
         ({"color": "red", "footprint": [1, 1], "origin": [0, 0], "layer": "0"}, "'bricks[0].layer'"),
-    ], ids=["brick_not_an_object", "origin_string", "footprint_of_one", "layer_string"])
+        ({"color": "mauve", "footprint": [1, 1], "origin": [0, 0], "layer": 0}, "'bricks[0].color'"),
+        ({"color": "red", "footprint": [3, 3], "origin": [0, 0], "layer": 0}, "'bricks[0].footprint'"),
+    ], ids=["brick_not_an_object", "origin_string", "footprint_of_one", "layer_string",
+            "unknown_color", "unsupported_footprint"])
     @pytest.mark.parametrize("argv", [("validate", "--structure"), ("plan", "--target")],
                              ids=["validate", "plan"])
     def test_malformed_structure_is_one_error_line(self, tmp_path, capsys, argv, brick, field):
         path = tmp_path / "structure.json"
         path.write_text(json.dumps({"schema": "espatial-lego/1", "bricks": [brick]}))
         assert run_cli(*argv, str(path)) == 1
+        assert_one_error_line(capsys, field)
+
+    @pytest.mark.parametrize("query, field", [
+        ({"category": "distance", "subject": "obj0", "object": "obj1", "params": [1]}, "'params'"),
+        ({"category": "success_judgment", "params": {"target": "oops"}}, "'params.target'"),
+        ({"category": "success_judgment", "params": {"target": {
+            "schema": "espatial-lego/1",
+            "bricks": [{"color": "mauve", "footprint": [1, 1], "origin": [0, 0], "layer": 0}],
+        }}}, "'params.target.bricks[0].color'"),
+        ({"category": "reachability", "subject": ["obj0"]}, "'subject'"),
+        ({"category": "distance", "subject": "obj0", "object": 1}, "'object'"),
+    ], ids=["params_list", "target_string", "target_brick_color", "subject_list", "object_number"])
+    def test_malformed_query_is_one_error_line(self, tmp_path, capsys, query, field):
+        _, graph = synth_scene(43, 4)
+        save_graph(graph, tmp_path / "graph.json")
+        (tmp_path / "query.json").write_text(json.dumps({"schema": "espatial-query/1", **query}))
+        assert run_cli("query", "--graph", str(tmp_path / "graph.json"),
+                       "--query", str(tmp_path / "query.json")) == 1
         assert_one_error_line(capsys, field)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from random import Random
 
 import pytest
 
@@ -10,6 +11,7 @@ from espatial.bricks import (
     BrickSpec,
     LegoStructure,
     PlacedBrick,
+    StudFrame,
     canonicalize,
     equals,
     from_graph,
@@ -427,6 +429,27 @@ class TestReasonOverPlan:
             target = random_structure(rng, rng.randint(1, 10))
             assembly, _ = reason_over_plan(target)
             assert equals(replay(assembly), target)
+
+    def test_snaps_each_brick_once_in_the_final_audit(self, monkeypatch):
+        import espatial.cot
+
+        snaps, snaps_before_audit = [], []
+        real_snap, real_from_graph = StudFrame.snap, espatial.cot.from_graph
+
+        def counting_snap(self, *args):
+            snaps.append(args)
+            return real_snap(self, *args)
+
+        def audit(graph):
+            snaps_before_audit.append(len(snaps))
+            return real_from_graph(graph)
+
+        monkeypatch.setattr(StudFrame, "snap", counting_snap)
+        monkeypatch.setattr(espatial.cot, "from_graph", audit)
+        target = random_structure(Random(3), 20)
+        reason_over_plan(target)
+        assert len(target) == 20
+        assert snaps_before_audit == [0] and len(snaps) == 20
 
 
 def reference_reason_over_plan(target):
