@@ -20,7 +20,7 @@ from .bricks import LegoStructure, describe, equals, from_graph, random_structur
 from .config import EngineConfig
 from .cot import ReasonPolicy, reason, reason_over_plan
 from .errors import EngineError, ParseError, SchemaVersionMismatch
-from .jsonfile import parse_list, read_json_object, write_json
+from .jsonfile import get, read_json_object, write_json
 from .oracle import answer_from_truth, brick_tuples, truth_from_frame
 from .perception import PerceptionFrame, build_graph, frame_from_structure, synth_frame, synth_structure
 from .planner import replay
@@ -48,12 +48,10 @@ class SceneRef:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneRef":
-        try:
-            return cls(int(data["seed"]), int(data["n_objects"]), bool(data.get("brick_mode", False)))
-        except KeyError as e:
-            raise ParseError(f"scene missing {e.args[0]!r}", field=e.args[0]) from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad scene value: {e}") from e
+        seed, n_objects = get(data, "seed", int), get(data, "n_objects", int)
+        if n_objects < 0:
+            raise ParseError(f"expected a non-negative count, got {n_objects}", field="n_objects")
+        return cls(seed, n_objects, get(data, "brick_mode", bool, False))
 
 
 @dataclass(frozen=True)
@@ -76,23 +74,16 @@ class QaItem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QaItem":
-        try:
-            try:
-                scene = SceneRef.from_dict(data["scene"])
-            except ParseError as e:
-                raise e.within("scene") from e
-            return cls(
-                question=data["question"],
-                category=QueryCategory(data["category"]),
-                scene=scene,
-                gold_value=data["gold"]["value"],
-                gold_units=data["gold"].get("units"),
-                params=data.get("params", {}),
-            )
-        except KeyError as e:
-            raise ParseError(f"qa item missing {e.args[0]!r}", field=e.args[0]) from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad qa item value: {e}") from e
+        gold_value, gold_units = get(
+            data, "gold", lambda gold: (get(gold, "value", object), get(gold, "units", str, None)))
+        return cls(
+            question=get(data, "question", str),
+            category=get(data, "category", QueryCategory),
+            scene=get(data, "scene", SceneRef.from_dict),
+            gold_value=gold_value,
+            gold_units=gold_units,
+            params=get(data, "params", dict, {}),
+        )
 
 
 @dataclass(frozen=True)
@@ -117,16 +108,11 @@ class QaDataset:
         schema = data.get("schema")
         if schema != DATASET_SCHEMA:
             raise SchemaVersionMismatch(schema, DATASET_SCHEMA)
-        try:
-            return cls(
-                seed=int(data.get("seed", 0)),
-                items=parse_list(data, "items", QaItem.from_dict),
-                config=data.get("config", {}),
-            )
-        except KeyError as e:
-            raise ParseError(f"dataset missing {e.args[0]!r}", field=e.args[0]) from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad dataset value: {e}") from e
+        return cls(
+            seed=get(data, "seed", int, 0),
+            items=get(data, "items", list[QaItem.from_dict]),
+            config=get(data, "config", dict, {}),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "QaDataset":
@@ -285,9 +271,7 @@ def _evaluate_item(index: int, item: QaItem, config: EngineConfig, client) -> tu
     try:
         frame = synth_frame(item.scene.seed, item.scene.n_objects, item.scene.brick_mode)
         graph = build_graph(frame.detections, frame.depths, thresholds=config.thresholds)
-        target = None
-        if "target" in item.params and item.params["target"] is not None:
-            target = LegoStructure.from_dict(item.params["target"])
+        target = get(item.params, "target", LegoStructure.from_dict, None)
         answer, _trace = reason(
             item.question, graph, config.workspace, client,
             ReasonPolicy(config.max_retries), target, config.thresholds,

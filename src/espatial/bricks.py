@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidPose, InvalidStructure, NonBrickNode, ParseError, SchemaVersionMismatch, SnapAmbiguity
 from .geometry import PALETTE, Box, color_text
-from .jsonfile import parse_list
+from .jsonfile import get
 
 if TYPE_CHECKING:  # avoids a runtime cycle; from_graph duck-types the graph
     from .scene import SceneGraph
@@ -115,31 +115,13 @@ class PlacedBrick:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlacedBrick":
-        if not isinstance(data, dict):
-            raise ParseError(f"expected a JSON object, got {data!r}")
-        try:
-            color, layer = data["color"], data["layer"]
-            footprint, origin = _int_pair(data, "footprint"), _int_pair(data, "origin")
-        except KeyError as e:
-            raise ParseError(f"brick missing {e.args[0]!r}", field=e.args[0]) from e
-        if not isinstance(color, str) or color not in PALETTE:
+        color = get(data, "color", str)
+        if color not in PALETTE:
             raise ParseError(f"unknown color {color!r}", field="color")
+        footprint = get(data, "footprint", int, length=2)
         if not is_supported_footprint(*footprint):
             raise ParseError(f"unsupported footprint {footprint_label(footprint)}", field="footprint")
-        if not _is_int(layer):
-            raise ParseError(f"expected an integer, got {layer!r}", field="layer")
-        return cls(BrickSpec(color, footprint), origin, layer)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_pair(data: dict, key: str) -> tuple[int, int]:
-    value = data[key]
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)):
-        raise ParseError(f"expected a list of 2 integers, got {value!r}", field=key)
-    return (value[0], value[1])
+        return cls(BrickSpec(color, footprint), get(data, "origin", int, length=2), get(data, "layer", int))
 
 
 STRUCTURE_SCHEMA = "espatial-lego/1"
@@ -184,14 +166,10 @@ class LegoStructure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LegoStructure":
-        if not isinstance(data, dict):
-            raise ParseError(f"expected a JSON object, got {data!r}")
         schema = data.get("schema")
         if schema != STRUCTURE_SCHEMA:
             raise SchemaVersionMismatch(schema, STRUCTURE_SCHEMA)
-        if "bricks" not in data:
-            raise ParseError("structure missing 'bricks'", field="bricks")
-        return cls(parse_list(data, "bricks", PlacedBrick.from_dict))
+        return cls(get(data, "bricks", list[PlacedBrick.from_dict]))
 
 
 class ViolationKind(str, Enum):

@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graph", help="build a scene graph from a scene file")
     p.add_argument("--scene", required=True)
-    p.add_argument("--prev", help="previous graph for identity matching")
+    p.add_argument("--prev", help="previous graph for identity matching; a new object never "
+                                  "gets an id this graph holds")
     common(p)
     p.set_defaults(func=_cmd_build_graph)
 

@@ -10,12 +10,12 @@ The remote endpoint and token may come from the environment
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
 from .geometry import DEFAULT_THRESHOLDS, Thresholds
-from .jsonfile import read_json_object
+from .jsonfile import get, known_keys, read_json_object
 from .query import DEFAULT_WORKSPACE, WorkspaceEnvelope
 
 ENDPOINT_ENV = "ESPATIAL_ENDPOINT"
@@ -62,20 +62,13 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ParseError("unknown config key", field=key)
-        try:
-            max_retries = int(data.get("max_retries", 2))
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"not an integer: {e}", field="max_retries") from e
+        known_keys(data, cls)
         return cls(
-            thresholds=Thresholds.from_dict(data.get("thresholds", {})),
-            workspace=WorkspaceEnvelope.from_dict(data.get("workspace", {})),
-            backend=data.get("backend", "fallback"),
-            remote_endpoint=data.get("remote_endpoint"),
-            max_retries=max_retries,
+            thresholds=get(data, "thresholds", Thresholds.from_dict, DEFAULT_THRESHOLDS),
+            workspace=get(data, "workspace", WorkspaceEnvelope.from_dict, DEFAULT_WORKSPACE),
+            backend=get(data, "backend", str, "fallback"),
+            remote_endpoint=get(data, "remote_endpoint", str, None),
+            max_retries=get(data, "max_retries", int, 2),
         )
 
 

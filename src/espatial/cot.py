@@ -62,6 +62,7 @@ from .geometry import (
     Thresholds,
     edge_ref,
 )
+from .jsonfile import get, require
 from .perception import normalize_label
 from .planner import AssemblyPlan, ordered_commands, target_digest
 from .query import (
@@ -522,7 +523,8 @@ class RemoteClient:
 
     Expected reply body: {"steps": [{"claim": str, "refs": [str, ...]}],
     "value": ..., "units": str | null}. Each call makes one blocking request;
-    failures raise BackendUnavailable.
+    failures raise BackendUnavailable, and a reply of another shape raises
+    ParseError naming the field, e.g. ``steps[0].claim``.
     """
 
     name = "remote"
@@ -560,10 +562,13 @@ class RemoteClient:
                 payload = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as e:
             raise BackendUnavailable(f"reasoning via {self.endpoint}: {e}") from e
-        steps = tuple(
-            StepProposal(s["claim"], tuple(s.get("refs", ()))) for s in payload.get("steps", ())
-        )
-        return ClientReply(steps, payload.get("value"), payload.get("units"))
+        reply = require(payload, dict)
+        steps = get(reply, "steps", list[_proposal_from_dict], ())
+        return ClientReply(steps, get(reply, "value", object, None), get(reply, "units", str, None))
+
+
+def _proposal_from_dict(data: dict) -> StepProposal:
+    return StepProposal(get(data, "claim", str), get(data, "refs", list[str], ()))
 
 
 # --- the loop ---------------------------------------------------------------------

@@ -57,8 +57,11 @@ class ParseError(EngineError):
         super().__init__(f"{message}{suffix}")
 
     def within(self, path: str) -> "ParseError":
-        """The same error with its field path nested under ``path``."""
-        field = f"{path}.{self.field}" if self.field else path
+        """The same error with its field path nested under ``path``; a list
+        index such as ``[0]`` joins without a dot."""
+        field = path
+        if self.field:
+            field += self.field if self.field.startswith("[") else f".{self.field}"
         return ParseError(self.message, field=field, line=self.line)
 
 

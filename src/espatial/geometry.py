@@ -13,11 +13,12 @@ emitted in both directions with equal magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol, Sequence
 
 from .errors import InvalidDepth, InvalidPose, ParseError
+from .jsonfile import get, known_keys
 
 
 class RelationKind(str, Enum):
@@ -209,18 +210,8 @@ class Thresholds:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Thresholds":
-        if not isinstance(data, dict):
-            raise ParseError("thresholds must be a JSON object", field="thresholds")
-        known = {f.name for f in fields(cls)}
-        values: dict[str, float] = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ParseError("unknown threshold key", field=key)
-            try:
-                values[key] = float(value)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"threshold is not a number: {value!r}", field=key) from e
-        return cls(**values)
+        known_keys(data, cls)
+        return cls(**{key: get(data, key, float) for key in data})
 
 
 DEFAULT_THRESHOLDS = Thresholds()

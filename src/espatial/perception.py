@@ -16,7 +16,7 @@ from typing import Sequence
 from .bricks import DEFAULT_STUD_FRAME, LegoStructure, brick_label, node_footprint, random_structure
 from .errors import InvalidDepth, MisalignedInputs, ParseError, SchemaVersionMismatch
 from .geometry import DEFAULT_THRESHOLDS, PALETTE, Box, Thresholds, classify_color, color_text, derive_all
-from .jsonfile import parse_list, read_json_object, write_json
+from .jsonfile import get, read_json_object, write_json
 from .scene import ObjectNode, SceneGraph, merge_edge_confidence, size_class_for_box
 
 SCENE_SCHEMA = "espatial-scene/1"
@@ -85,7 +85,9 @@ def build_graph(
     Node ids are assigned deterministically over detections sorted by label
     then box origin. With a previous graph, a detection inherits the id of
     the nearest same-label node within the match radius, preserving identity
-    and edge confidences across steps.
+    and edge confidences across steps. A detection left unmatched gets a
+    fresh id that no node of the previous graph holds, so a vanished
+    object's id never passes to a new one.
     """
     if len(detections) != len(depths):
         raise MisalignedInputs(f"{len(detections)} detections vs {len(depths)} depths")
@@ -96,7 +98,7 @@ def build_graph(
     )
 
     matched: dict[int, str] = {}
-    taken: set[str] = set()
+    taken: set[str] = set()  # previous ids matched in this call
     if prev is not None:
         for i in order:
             record = detections[i]
@@ -123,9 +125,8 @@ def build_graph(
             while True:
                 node_id = f"obj{counter}"
                 counter += 1
-                if node_id not in taken:
+                if prev is None or not prev.has_node(node_id):
                     break
-            taken.add(node_id)
         footprint = _label_footprint(record.label)
         nodes.append(ObjectNode(
             id=node_id,
@@ -280,27 +281,18 @@ def frame_from_dict(data: dict) -> PerceptionFrame:
     schema = data.get("schema")
     if schema != SCENE_SCHEMA:
         raise SchemaVersionMismatch(schema, SCENE_SCHEMA)
-    try:
-        rows = parse_list(data, "detections", _detection_from_dict)
-        return PerceptionFrame(data["image_ref"], tuple(r for r, _ in rows), tuple(d for _, d in rows),
-                               t=int(data.get("t", 0)))
-    except KeyError as e:
-        raise ParseError(f"scene missing {e.args[0]!r}", field=e.args[0]) from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad scene value: {e}") from e
+    rows = get(data, "detections", list[_detection_from_dict])
+    return PerceptionFrame(get(data, "image_ref", str), tuple(r for r, _ in rows), tuple(d for _, d in rows),
+                           t=get(data, "t", int, 0))
 
 
 def _detection_from_dict(data: dict) -> tuple[DetectionRecord, float]:
     """One detection and its depth sample."""
-    try:
-        record = DetectionRecord(
-            data["label"], Box(*(float(v) for v in data["bbox"])), tuple(data["rgb"]), float(data["score"]),
-        )
-        return record, float(data["depth_m"])
-    except KeyError as e:
-        raise ParseError(f"detection missing {e.args[0]!r}", field=e.args[0]) from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad detection value: {e}") from e
+    record = DetectionRecord(
+        get(data, "label", str), Box(*get(data, "bbox", float, length=4)),
+        get(data, "rgb", int, length=3), get(data, "score", float),
+    )
+    return record, get(data, "depth_m", float)
 
 
 def save_scene(frame: PerceptionFrame, path: str | Path):

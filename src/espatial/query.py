@@ -22,6 +22,7 @@ from .geometry import (
     distance,
     edge_ref,
 )
+from .jsonfile import get
 from .scene import SceneGraph
 
 QUERY_SCHEMA = "espatial-query/1"
@@ -73,16 +74,11 @@ class WorkspaceEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkspaceEnvelope":
-        if not isinstance(data, dict):
-            raise ParseError("workspace must be a JSON object", field="workspace")
-        try:
-            return cls(
-                base3=tuple(float(v) for v in data.get("base3", (0.0, 0.0, 0.0))),
-                reach_m=float(data.get("reach_m", 1.5)),
-                min_reach_m=float(data.get("min_reach_m", 0.1)),
-            )
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"workspace value is not a number: {e}", field="workspace") from e
+        return cls(
+            base3=get(data, "base3", float, (0.0, 0.0, 0.0), length=3),
+            reach_m=get(data, "reach_m", float, 1.5),
+            min_reach_m=get(data, "min_reach_m", float, 0.1),
+        )
 
 
 DEFAULT_WORKSPACE = WorkspaceEnvelope()
@@ -148,22 +144,15 @@ class SpatialQuery:
         schema = data.get("schema")
         if schema != QUERY_SCHEMA:
             raise SchemaVersionMismatch(schema, QUERY_SCHEMA)
-        try:
-            category = QueryCategory(data["category"])
-        except (KeyError, ValueError) as e:
-            raise ParseError(f"bad query category: {e}", field="category") from e
-        for key in ("subject", "object"):
-            if not isinstance(data.get(key), (str, type(None))):
-                raise ParseError(f"expected a node id or null, got {data[key]!r}", field=key)
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise ParseError(f"expected a JSON object, got {params!r}", field="params")
+        category = get(data, "category", QueryCategory)
+        subject_id, object_id = get(data, "subject", str, None), get(data, "object", str, None)
+        params = get(data, "params", dict, {})
         if params.get("target") is not None:
             try:
-                params = {**params, "target": LegoStructure.from_dict(params["target"])}
+                params = {**params, "target": get(params, "target", LegoStructure.from_dict)}
             except ParseError as e:
-                raise e.within("params.target") from e
-        return cls(category, data.get("subject"), data.get("object"), params)
+                raise e.within("params") from e
+        return cls(category, subject_id, object_id, params)
 
 
 def _require_node(graph: SceneGraph, node_id: str | None, role: str):

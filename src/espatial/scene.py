@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping, Union
 
 from .bricks import DEFAULT_STUD_FRAME, PlacedBrick, brick_label
-from .errors import DuplicateNodeId, InvalidPose, ParseError, SchemaVersionMismatch, UnknownNodeId
+from .errors import DuplicateNodeId, InvalidPose, SchemaVersionMismatch, UnknownNodeId
 from .geometry import (
     DEFAULT_THRESHOLDS,
     Box,
@@ -26,7 +26,7 @@ from .geometry import (
     derive_all,
     lift_to_3d,
 )
-from .jsonfile import parse_list
+from .jsonfile import get
 
 SIZE_CLASSES = ("tiny", "small", "medium", "large")
 
@@ -113,23 +113,15 @@ class ObjectNode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectNode":
-        try:
-            bbox = data["bbox"]
-            if not isinstance(bbox, list) or len(bbox) != 4:
-                raise ParseError(f"bbox must be 4 numbers, got {bbox!r}", field="bbox")
-            return cls(
-                id=data["id"],
-                label=data["label"],
-                color=data["color"],
-                bbox=Box(*(float(v) for v in bbox)),
-                depth_m=float(data["depth_m"]),
-                size_class=data.get("size_class", ""),
-                attributes=data.get("attributes", {}),
-            )
-        except KeyError as e:
-            raise ParseError(f"node missing {e.args[0]!r}", field=e.args[0]) from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad node value: {e}") from e
+        return cls(
+            id=get(data, "id", str),
+            label=get(data, "label", str),
+            color=get(data, "color", str),
+            bbox=Box(*get(data, "bbox", float, length=4)),
+            depth_m=get(data, "depth_m", float),
+            size_class=get(data, "size_class", str, ""),
+            attributes=get(data, "attributes", dict[str, str], {}),
+        )
 
 
 @dataclass(frozen=True)
@@ -230,27 +222,19 @@ class SceneGraph:
         schema = data.get("schema")
         if schema != GRAPH_SCHEMA:
             raise SchemaVersionMismatch(schema, GRAPH_SCHEMA)
-        try:
-            nodes = parse_list(data, "nodes", ObjectNode.from_dict)
-            edges = parse_list(data, "edges", _edge_from_dict)
-            return cls(t=int(data["t"]), nodes=nodes, edges=edges,
-                       provenance=data.get("provenance", "file"))
-        except KeyError as e:
-            raise ParseError(f"graph missing {e.args[0]!r}", field=e.args[0]) from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad graph value: {e}") from e
+        return cls(
+            t=get(data, "t", int),
+            nodes=get(data, "nodes", list[ObjectNode.from_dict]),
+            edges=get(data, "edges", list[_edge_from_dict]),
+            provenance=get(data, "provenance", str, "file"),
+        )
 
 
 def _edge_from_dict(data: dict) -> RelationEdge:
-    try:
-        return RelationEdge(
-            data["subject"], data["object"], RelationKind(data["kind"]),
-            float(data["magnitude"]), float(data.get("confidence", 1.0)),
-        )
-    except KeyError as e:
-        raise ParseError(f"edge missing {e.args[0]!r}", field=e.args[0]) from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad edge value: {e}") from e
+    return RelationEdge(
+        get(data, "subject", str), get(data, "object", str), get(data, "kind", RelationKind),
+        get(data, "magnitude", float), get(data, "confidence", float, 1.0),
+    )
 
 
 # --- events ----------------------------------------------------------------

@@ -139,6 +139,7 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("thresholds, field", [
         ({"tau_bogus": 1}, "tau_bogus"),
         ({"tau_dir": "nan"}, "tau_dir"),
+        ({"tau_dir": "0.9"}, "thresholds.tau_dir"),
     ])
     def test_bad_threshold_is_one_error_line(self, tmp_path, capsys, thresholds, field):
         assert self.gen_dataset(tmp_path, {"thresholds": thresholds}) == 1
@@ -152,8 +153,11 @@ class TestConfigBoundary:
         ({"workspace": {"base3": [0, 0, "inf"]}}, "base3"),
         ({"workspace": {"reach_m": "nan"}}, "reach_m"),
         ({"max_retries": [1]}, "max_retries"),
+        ({"workspace": {"reach_m": "1.2"}}, "'workspace.reach_m'"),
+        ({"max_retries": 2.7}, "'max_retries'"),
+        ({"max_retries": True}, "'max_retries'"),
     ], ids=["workers", "max_in_flight", "base3_of_two", "base3_infinite", "reach_nan",
-            "max_retries_list"])
+            "max_retries_list", "reach_string", "max_retries_float", "max_retries_bool"])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, config, field):
         assert self.gen_dataset(tmp_path, config) == 1
         assert_one_error_line(capsys, field)
@@ -169,7 +173,8 @@ class TestGraphBoundary:
     @pytest.mark.parametrize("mutate, field", [
         (lambda g: g.update(nodes="oops"), "nodes"),
         (lambda g: g["nodes"][0].update(bbox=[0.1, 0.1, 0.2]), "nodes[0].bbox"),
-    ], ids=["nodes_not_a_list", "bbox_of_three"])
+        (lambda g: g["nodes"][0]["attributes"].update(score=0.9), "nodes[0].attributes.score"),
+    ], ids=["nodes_not_a_list", "bbox_of_three", "attribute_not_a_string"])
     def test_malformed_graph_is_one_error_line(self, tmp_path, capsys, mutate, field):
         _, graph = synth_scene(43, 4)
         payload = graph.to_dict()
@@ -194,6 +199,26 @@ class TestFileBoundary:
         path.write_text(json.dumps(mutate(dataset)))
         assert run_cli("bench", "--dataset", str(path)) == 1
         assert_one_error_line(capsys, fragment)
+
+    @pytest.mark.parametrize("key, value", [
+        ("brick_mode", "false"), ("seed", 12.9), ("n_objects", True), ("n_objects", -2),
+    ], ids=["brick_mode_string", "seed_float", "n_objects_bool", "n_objects_negative"])
+    def test_mistyped_scene_ref_is_one_error_line(self, tmp_path, capsys, key, value):
+        dataset = json.loads((FIXTURES / "qa_100.json").read_text())
+        dataset["items"][0]["scene"][key] = value
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(dataset))
+        assert run_cli("bench", "--dataset", str(path)) == 1
+        assert_one_error_line(capsys, repr(f"items[0].scene.{key}"))
+
+    def test_string_rgb_is_one_error_line(self, tmp_path, capsys):
+        frame, _ = synth_scene(41, 5)
+        scene = frame_to_dict(frame)
+        scene["detections"][0]["rgb"] = ["196", 40, 27]
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        assert run_cli("build-graph", "--scene", str(path)) == 1
+        assert_one_error_line(capsys, "'detections[0].rgb[0]'")
 
     def test_malformed_scene_is_one_error_line(self, tmp_path, capsys):
         frame, _ = synth_scene(41, 5)

@@ -32,20 +32,23 @@ from espatial.cot import (
     serialize_graph,
     validate_step,
 )
+from espatial.cli import cli_dispatch
 from espatial.errors import (
     ClaimGrammarError,
     DuplicateNodeId,
     EngineError,
     InvalidStructure,
+    ParseError,
     PlanValidationFailure,
 )
-from espatial.perception import build_graph, frame_from_structure, synth_scene, synth_structure
+from espatial.perception import build_graph, frame_from_structure, save_graph, synth_scene, synth_structure
 from espatial.planner import AssemblyPlan, ordered_commands, replay, target_digest
 from espatial.query import DEFAULT_WORKSPACE, QueryCategory, SpatialQuery, WorkspaceEnvelope, answer
 from espatial.questions import render_question
 from espatial.scene import Action, SceneGraph, apply_action
 
 from .conftest import faulty_bricks, make_node, random_nodes
+from .test_cli import assert_one_error_line
 
 
 class TestSerializeGraph:
@@ -326,6 +329,16 @@ class TestValidationMonotonicity:
         assert again.status is StepStatus.VALIDATED
 
 
+# Reply bodies of the wrong shape, each with the field its ParseError names.
+MALFORMED_REPLIES = [
+    ([1], None),
+    ({"steps": [{"refs": ["a"]}], "value": True}, "steps[0].claim"),
+    ({"steps": "oops", "value": True}, "steps"),
+    ({"steps": [{"claim": 5}], "value": True}, "steps[0].claim"),
+]
+MALFORMED_REPLY_IDS = ["reply_list", "step_without_claim", "steps_string", "claim_number"]
+
+
 class TestRemoteClient:
     """Round-trip against a local HTTP stub; no external network."""
 
@@ -349,7 +362,8 @@ class TestRemoteClient:
                 pass
 
         server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # a short poll keeps each test's shutdown() from waiting half a second
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True).start()
         return server, Handler
 
     def test_submit_round_trip(self):
@@ -389,6 +403,33 @@ class TestRemoteClient:
             assert trace.steps[0].rule == "ClaimGrammarError"
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("reply, field", MALFORMED_REPLIES, ids=MALFORMED_REPLY_IDS)
+    def test_malformed_reply_is_parse_error(self, reply, field):
+        from espatial.cot import RemoteClient
+
+        server, _ = self.serve(lambda req: reply)
+        try:
+            client = RemoteClient(f"http://127.0.0.1:{server.server_port}/")
+            with pytest.raises(ParseError) as info:
+                reason("Where is the a relative to the b?", two_node_graph(), client=client)
+            assert info.value.field == field
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("reply, field", MALFORMED_REPLIES, ids=MALFORMED_REPLY_IDS)
+    def test_malformed_reply_through_cli_is_one_error_line(self, tmp_path, capsys, reply, field):
+        server, _ = self.serve(lambda req: reply)
+        try:
+            save_graph(two_node_graph(), tmp_path / "graph.json")
+            config = {"backend": "remote", "remote_endpoint": f"http://127.0.0.1:{server.server_port}/"}
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            code = cli_dispatch(["query", "--graph", str(tmp_path / "graph.json"), "--config",
+                                 str(tmp_path / "config.json"), "--question", "Where is the a relative to the b?"])
+        finally:
+            server.shutdown()
+        assert code == 1
+        assert_one_error_line(capsys, repr(field) if field else "expected a JSON object")
 
     def test_unreachable_endpoint(self):
         from espatial.cot import RemoteClient

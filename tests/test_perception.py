@@ -61,6 +61,16 @@ class TestBuildGraph:
         assert len(g1.nodes) == 4
         assert set(g0.node_ids()) < set(g1.node_ids())
 
+    def test_fresh_id_never_reuses_a_vanished_id(self):
+        cup = det("blue cup", 0.1, 0.1, 0.2, 0.2, rgb=(30, 60, 200))
+        ball = det("red ball", 0.5, 0.5, 0.6, 0.6)
+        g0 = build_graph((cup, ball), (1.0, 1.2))
+        assert [(n.id, n.label) for n in g0.nodes] == [("obj0", "blue cup"), ("obj1", "red ball")]
+        plate = det("white plate", 0.7, 0.1, 0.8, 0.2, rgb=(240, 240, 240))
+        g1 = build_graph((ball, plate), (1.2, 0.9), prev=g0)
+        ids = {n.label: n.id for n in g1.nodes}
+        assert ids == {"red ball": "obj1", "white plate": "obj2"}
+
     def test_confidence_preserved_for_unchanged_pairs(self):
         frame, g0 = synth_scene(9, 4)
         if not g0.edges:
