@@ -78,7 +78,6 @@ from .cot import (  # noqa: F401
     StepProposal,
     reason,
     reason_over_plan,
-    serialize_graph,
     validate_step,
 )
 from .bench import (  # noqa: F401

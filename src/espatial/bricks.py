@@ -41,11 +41,18 @@ def footprint_label(footprint: tuple[int, int]) -> str:
     return f"{footprint[0]}x{footprint[1]}"
 
 
-def parse_footprint(text: str) -> tuple[int, int]:
+def _footprint_or_none(text: str) -> tuple[int, int] | None:
     parts = text.lower().replace("×", "x").split("x")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) == 2 and all(p.isdecimal() for p in parts):
+        return (int(parts[0]), int(parts[1]))
+    return None
+
+
+def parse_footprint(text: str) -> tuple[int, int]:
+    footprint = _footprint_or_none(text)
+    if footprint is None:
         raise ParseError(f"not a footprint: {text!r}", field="footprint")
-    return (int(parts[0]), int(parts[1]))
+    return footprint
 
 
 @dataclass(frozen=True)
@@ -365,11 +372,8 @@ DEFAULT_STUD_FRAME = StudFrame()
 
 def node_footprint(size_class: str) -> tuple[int, int] | None:
     """Footprint encoded in a size class, or None for non-brick sizes."""
-    try:
-        fp = parse_footprint(size_class)
-    except ParseError:
-        return None
-    return fp if is_supported_footprint(*fp) else None
+    fp = _footprint_or_none(size_class)
+    return fp if fp is not None and is_supported_footprint(*fp) else None
 
 
 def from_graph(graph: "SceneGraph") -> LegoStructure:

@@ -33,6 +33,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.backend not in ("fallback", "remote"):
             raise ParseError(f"unknown backend {self.backend!r}", field="backend")
+        if self.max_retries < 0:
+            raise ParseError(f"max_retries must be non-negative, got {self.max_retries}", field="max_retries")
 
     def resolve_endpoint(self) -> str | None:
         return self.remote_endpoint or os.environ.get(ENDPOINT_ENV)

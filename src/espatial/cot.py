@@ -5,9 +5,9 @@ structure) to a client, asks it for step proposals in a constrained claim
 grammar, validates every step against the graph, and either answers,
 re-prompts with the violated rule, or abstains. The graph is the single
 source of truth during validation; the image is never re-read. Clients that
-speak text, such as the remote client, serialize the graph into a
-line-oriented context themselves (:func:`build_context`); in-process clients
-read the graph directly.
+speak text, such as the remote client, send the graph, workspace and target
+as one JSON context in their file formats (:func:`build_context`);
+in-process clients read the graph directly.
 
 Claim grammar (whitespace-separated tokens):
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Protocol
@@ -34,8 +33,6 @@ from typing import Any, Protocol
 from .bricks import (
     DEFAULT_STUD_FRAME,
     LegoStructure,
-    PlacedBrick,
-    BrickSpec,
     canonicalize,
     equals,
     from_graph,
@@ -56,8 +53,6 @@ from .geometry import (
     DEFAULT_THRESHOLDS,
     DUALS,
     SYMMETRIC_KINDS,
-    Box,
-    RelationEdge,
     RelationKind,
     Thresholds,
     edge_ref,
@@ -75,7 +70,7 @@ from .query import (
 )
 from .query import answer as evaluate_query
 from .questions import parse_question
-from .scene import Action, ObjectNode, SceneGraph, update_node_states
+from .scene import Action, SceneGraph, update_node_states
 
 TRACE_SCHEMA = "espatial-trace/1"
 
@@ -169,108 +164,32 @@ class LmClient(Protocol):
 
 # --- context serialization ----------------------------------------------------
 
-def serialize_graph(graph: SceneGraph) -> str:
-    """Deterministic line rendering: header, one node line per node, one
-    edge line per edge, ordered by id then kind. Floats use repr so the
-    rendering parses back losslessly."""
-    lines = [
-        f"graph t={graph.t} provenance={graph.provenance} "
-        f"nodes={len(graph.nodes)} edges={len(graph.edges)}"
-    ]
-    for n in graph.nodes:
-        bbox = ",".join(repr(float(v)) for v in n.bbox.as_tuple())
-        attrs = json.dumps({k: v for k, v in n.attributes}, sort_keys=True, separators=(",", ":"))
-        lines.append(
-            f'node {n.id} label="{n.label}" color={n.color} '
-            f"bbox=({bbox}) depth={float(n.depth_m)!r} size={n.size_class} attrs={attrs}"
-        )
-    for e in graph.edges:
-        lines.append(
-            f"edge {e.subject_id} {e.kind.value} {e.object_id} "
-            f"magnitude={float(e.magnitude)!r} confidence={float(e.confidence)!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def build_context(
     graph: SceneGraph,
     workspace: WorkspaceEnvelope = DEFAULT_WORKSPACE,
     target: LegoStructure | None = None,
 ) -> str:
-    """Full prompt context: graph, workspace envelope, optional target."""
-    parts = [serialize_graph(graph)]
-    base = ",".join(repr(float(v)) for v in workspace.base3)
-    parts.append(
-        f"workspace base=({base}) reach={float(workspace.reach_m)!r} "
-        f"min_reach={float(workspace.min_reach_m)!r}\n"
-    )
-    if target is not None:
-        parts.append(f"target bricks={len(target.bricks)}\n")
-        for b in target.bricks:
-            parts.append(
-                f"target_brick color={b.spec.color} footprint={b.spec.size} "
-                f"origin=({b.x},{b.y}) layer={b.layer}\n"
-            )
-    return "".join(parts)
-
-
-_GRAPH_RE = re.compile(r"^graph t=(\d+) provenance=(\w+) nodes=\d+ edges=\d+$")
-_NODE_RE = re.compile(
-    r'^node (\S+) label="([^"]*)" color=(\w+) bbox=\(([^)]*)\) depth=(\S+) size=(\S+) attrs=(\{.*\})$'
-)
-_EDGE_RE = re.compile(r"^edge (\S+) (\w+) (\S+) magnitude=(\S+) confidence=(\S+)$")
-_WORKSPACE_RE = re.compile(r"^workspace base=\(([^)]*)\) reach=(\S+) min_reach=(\S+)$")
-_TARGET_RE = re.compile(r"^target bricks=(\d+)$")
-_TARGET_BRICK_RE = re.compile(
-    r"^target_brick color=(\w+) footprint=(\S+) origin=\((-?\d+),(-?\d+)\) layer=(-?\d+)$"
-)
+    """Full prompt context as one JSON object: the graph, workspace and
+    optional target in their file formats, with sorted keys."""
+    return json.dumps({
+        "graph": graph.to_dict(),
+        "workspace": workspace.to_dict(),
+        "target": target.to_dict() if target is not None else None,
+    }, sort_keys=True)
 
 
 def parse_context(text: str) -> tuple[SceneGraph, WorkspaceEnvelope, LegoStructure | None]:
-    """Inverse of :func:`build_context`; exact for contexts it produced."""
-    t = 0
-    provenance = "synthetic"
-    nodes: list[ObjectNode] = []
-    edges: list[RelationEdge] = []
-    workspace = DEFAULT_WORKSPACE
-    target_bricks: list[PlacedBrick] = []
-    saw_graph = saw_target = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if m := _GRAPH_RE.match(line):
-            t, provenance = int(m.group(1)), m.group(2)
-            saw_graph = True
-        elif m := _NODE_RE.match(line):
-            coords = tuple(float(v) for v in m.group(4).split(","))
-            nodes.append(ObjectNode(
-                id=m.group(1), label=m.group(2), color=m.group(3),
-                bbox=Box(*coords), depth_m=float(m.group(5)), size_class=m.group(6),
-                attributes=json.loads(m.group(7)),
-            ))
-        elif m := _EDGE_RE.match(line):
-            edges.append(RelationEdge(
-                m.group(1), m.group(3), RelationKind(m.group(2)),
-                float(m.group(4)), float(m.group(5)),
-            ))
-        elif m := _WORKSPACE_RE.match(line):
-            base = tuple(float(v) for v in m.group(1).split(","))
-            workspace = WorkspaceEnvelope(base, float(m.group(2)), float(m.group(3)))
-        elif m := _TARGET_RE.match(line):
-            saw_target = True
-        elif m := _TARGET_BRICK_RE.match(line):
-            target_bricks.append(PlacedBrick(
-                BrickSpec(m.group(1), parse_footprint(m.group(2))),
-                (int(m.group(3)), int(m.group(4))), int(m.group(5)),
-            ))
-        else:
-            raise ParseError(f"unrecognized context line: {line!r}")
-    if not saw_graph:
-        raise ParseError("context has no graph header")
-    graph = SceneGraph(t=t, nodes=tuple(nodes), edges=tuple(edges), provenance=provenance)
-    target = LegoStructure(tuple(target_bricks)) if saw_target else None
-    return graph, workspace, target
+    """Inverse of :func:`build_context`; a failure is a ParseError naming
+    its field, e.g. ``graph.nodes[0].bbox``."""
+    try:
+        data = require(json.loads(text), dict)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed context JSON: {e.msg}", line=e.lineno) from e
+    return (
+        get(data, "graph", SceneGraph.from_dict),
+        get(data, "workspace", WorkspaceEnvelope.from_dict),
+        get(data, "target", LegoStructure.from_dict, None),
+    )
 
 
 # --- claim grammar -------------------------------------------------------------
@@ -358,11 +277,10 @@ def _support_step(proposal: StepProposal, cells: dict[tuple[int, int, int], str]
 
 
 def validate_step(
-    proposal: StepProposal | ReasoningStep,
+    proposal: StepProposal,
     graph: SceneGraph,
     workspace: WorkspaceEnvelope = DEFAULT_WORKSPACE,
     target: LegoStructure | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> ReasoningStep:
     """Check one claim against the graph's consistency rules.
 
@@ -370,8 +288,6 @@ def validate_step(
     steps name the first violated rule. Malformed claims raise
     ClaimGrammarError.
     """
-    if isinstance(proposal, ReasoningStep):
-        proposal = StepProposal(proposal.claim, proposal.grounded_refs)
     parsed = parse_claim(proposal.claim)
 
     def rejected(rule: str) -> ReasoningStep:
@@ -414,7 +330,7 @@ def validate_step(
             return rejected("UnresolvedRef")
         result = evaluate_query(
             SpatialQuery(QueryCategory.REACHABILITY, subject_id=parsed.subject),
-            graph, workspace, thresholds,
+            graph, workspace,
         )
         if result.value:
             return validated(parsed.subject, "min_reach_m", "reach_m")
@@ -587,6 +503,7 @@ def reason(
     Rejections re-prompt with the violated rule appended, up to the retry
     budget; deterministic clients get a single pass since a retry would
     reproduce the same proposals. Abstention is an explicit answer value.
+    ``thresholds`` is not read: the graph's edges were derived with them.
     """
     client = client or FallbackReasoner()
     attempts = 1 if getattr(client, "deterministic", False) else policy.max_retries + 1
@@ -600,7 +517,7 @@ def reason(
         failed: ReasoningStep | None = None
         for prop in reply.steps:
             try:
-                step = validate_step(prop, graph, workspace, target, thresholds)
+                step = validate_step(prop, graph, workspace, target)
             except ClaimGrammarError:
                 step = ReasoningStep(prop.claim, tuple(prop.refs), StepStatus.REJECTED,
                                      rule="ClaimGrammarError")

@@ -7,6 +7,7 @@ with :func:`save_scene`; :func:`build_graph` turns one into a scene graph.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,11 +55,10 @@ class PerceptionFrame:
                 f"{len(self.detections)} detections vs {len(self.depths)} depth samples"
             )
         for d in self.depths:
-            if not d > 0:
-                raise InvalidDepth(f"depth {d!r} must be positive")
+            if not (d > 0 and math.isfinite(d)):
+                raise InvalidDepth(f"depth {d!r} must be positive and finite")
 
 
-_FOOTPRINT_TOKEN = re.compile(r"^\d+[x×]\d+$")
 _TOKEN = re.compile(r"[0-9a-zA-Z×]+")
 
 
@@ -151,7 +151,7 @@ def build_graph(
 
 def _label_footprint(label: str) -> str | None:
     for token in normalize_label(label).split():
-        if _FOOTPRINT_TOKEN.match(token) and node_footprint(token):
+        if node_footprint(token):
             return token
     return None
 

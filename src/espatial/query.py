@@ -22,7 +22,7 @@ from .geometry import (
     distance,
     edge_ref,
 )
-from .jsonfile import get
+from .jsonfile import get, known_keys
 from .scene import SceneGraph
 
 QUERY_SCHEMA = "espatial-query/1"
@@ -74,6 +74,7 @@ class WorkspaceEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkspaceEnvelope":
+        known_keys(data, cls)
         return cls(
             base3=get(data, "base3", float, (0.0, 0.0, 0.0), length=3),
             reach_m=get(data, "reach_m", float, 1.5),

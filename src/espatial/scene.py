@@ -28,8 +28,6 @@ from .geometry import (
 )
 from .jsonfile import get
 
-SIZE_CLASSES = ("tiny", "small", "medium", "large")
-
 GRAPH_SCHEMA = "espatial-graph/1"
 PROVENANCES = ("synthetic", "file", "perception")
 

@@ -20,11 +20,13 @@ from espatial.bricks import (
     equals,
     first_mismatch,
     from_graph,
+    node_footprint,
+    parse_footprint,
     random_structure,
     recolor_brick,
     validate,
 )
-from espatial.errors import InvalidPose, InvalidStructure, NonBrickNode, SnapAmbiguity
+from espatial.errors import InvalidPose, InvalidStructure, NonBrickNode, ParseError, SnapAmbiguity
 from espatial.geometry import Box
 from espatial.oracle import brick_tuples, brute_force_violations, structures_match
 from espatial.perception import build_graph, frame_from_structure, synth_scene
@@ -213,6 +215,17 @@ class TestFromGraph:
         node = ObjectNode("a", "red ball", "red", Box(0.4, 0.4, 0.5, 0.5), 1.0)
         with pytest.raises(NonBrickNode):
             from_graph(SceneGraph.from_nodes((node,)))
+
+    @pytest.mark.parametrize("size_class", ["small", "3x3", "²x1"], ids=["word", "unsupported", "superscript"])
+    def test_non_footprint_size_class_rejected(self, size_class):
+        node = ObjectNode("a", "red brick", "red", Box(0.4, 0.4, 0.5, 0.5), 1.0, size_class)
+        assert node_footprint(size_class) is None
+        with pytest.raises(NonBrickNode):
+            from_graph(SceneGraph.from_nodes((node,)))
+
+    def test_superscript_digit_is_not_a_footprint(self):
+        with pytest.raises(ParseError):
+            parse_footprint("²x1")
 
     def test_brick_mode_scene(self):
         frame, graph = synth_scene(11, 6, brick_mode=True)

@@ -11,6 +11,7 @@ import pytest
 
 from espatial.cli import cli_dispatch
 from espatial.config import EngineConfig
+from espatial.errors import ParseError
 from espatial.perception import frame_to_dict, save_graph, save_scene, synth_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,12 +157,24 @@ class TestConfigBoundary:
         ({"workspace": {"reach_m": "1.2"}}, "'workspace.reach_m'"),
         ({"max_retries": 2.7}, "'max_retries'"),
         ({"max_retries": True}, "'max_retries'"),
+        ({"workspace": {"reach": 0.2}}, "'workspace.reach'"),
+        ({"max_retries": -1}, "'max_retries'"),
     ], ids=["workers", "max_in_flight", "base3_of_two", "base3_infinite", "reach_nan",
-            "max_retries_list", "reach_string", "max_retries_float", "max_retries_bool"])
+            "max_retries_list", "reach_string", "max_retries_float", "max_retries_bool",
+            "workspace_typo", "max_retries_negative"])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, config, field):
         assert self.gen_dataset(tmp_path, config) == 1
         assert_one_error_line(capsys, field)
         assert not (tmp_path / "ds.json").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"workspace": {"reach": 0.2}}, "workspace.reach"),
+        ({"max_retries": -1}, "max_retries"),
+    ], ids=["workspace_typo", "max_retries_negative"])
+    def test_bad_config_dict_names_field(self, config, field):
+        with pytest.raises(ParseError) as info:
+            EngineConfig.from_dict(config)
+        assert info.value.field == field
 
     def test_golden_config_echo_loads_back(self):
         # a run must be reproducible from its report alone

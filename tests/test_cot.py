@@ -1,4 +1,4 @@
-"""Reasoning loop: context serialization, step validation, fallback parity."""
+"""Reasoning loop: the JSON context, step validation, fallback parity."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from espatial.cot import (
     parse_context,
     reason,
     reason_over_plan,
-    serialize_graph,
     validate_step,
 )
 from espatial.cli import cli_dispatch
@@ -51,21 +50,22 @@ from .conftest import faulty_bricks, make_node, random_nodes
 from .test_cli import assert_one_error_line
 
 
-class TestSerializeGraph:
-    def test_empty_graph_is_header_only(self):
-        text = serialize_graph(SceneGraph.empty())
-        lines = text.strip().splitlines()
-        assert lines == ["graph t=0 provenance=synthetic nodes=0 edges=0"]
+def _bad_node_bbox(text):
+    data = json.loads(text)
+    data["graph"]["nodes"][0]["bbox"] = [0.1, 0.1, 0.2]
+    return json.dumps(data)
 
-    def test_single_node_line_count(self):
-        g = SceneGraph.from_nodes((make_node("a", 0.3, 0.3),))
-        lines = serialize_graph(g).strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("node a ")
 
+def _no_graph(text):
+    data = json.loads(text)
+    del data["graph"]
+    return json.dumps(data)
+
+
+class TestContext:
     def test_deterministic(self, rng):
         g = SceneGraph.from_nodes(random_nodes(rng, 6))
-        assert serialize_graph(g) == serialize_graph(g)
+        assert build_context(g) == build_context(g)
 
     def test_context_round_trip_exact(self):
         for seed in (1, 2, 3):
@@ -78,8 +78,19 @@ class TestSerializeGraph:
     def test_context_carries_target(self, rng):
         _, g = synth_scene(4, 3, brick_mode=True)
         target = random_structure(rng, 4)
-        _, _, parsed_target = parse_context(build_context(g, target=target))
-        assert parsed_target == target
+        workspace = WorkspaceEnvelope((0.1, -0.05, 0.3), 1.1, 0.2)
+        assert parse_context(build_context(g, workspace, target)) == (g, workspace, target)
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda text: text[:-1], None),
+        (_no_graph, "graph"),
+        (_bad_node_bbox, "graph.nodes[0].bbox"),
+    ], ids=["not_json", "no_graph", "bad_node_bbox"])
+    def test_malformed_context_is_parse_error(self, corrupt, field):
+        _, g = synth_scene(1, 3)
+        with pytest.raises(ParseError) as info:
+            parse_context(corrupt(build_context(g)))
+        assert info.value.field == field
 
 
 class TestClaimGrammar:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from espatial.errors import MisalignedInputs, ParseError, SchemaVersionMismatch
+from espatial.errors import InvalidDepth, MisalignedInputs, ParseError, SchemaVersionMismatch
 from espatial.geometry import Box
 from espatial.perception import (
     DetectionRecord,
+    PerceptionFrame,
     build_graph,
     load_graph,
     load_scene,
@@ -33,6 +35,11 @@ class TestBuildGraph:
     def test_misaligned_inputs(self):
         with pytest.raises(MisalignedInputs):
             build_graph((det("a thing"),), ())
+
+    @pytest.mark.parametrize("depth", [math.inf, math.nan, 0.0, -1.0])
+    def test_frame_rejects_non_positive_or_non_finite_depth(self, depth):
+        with pytest.raises(InvalidDepth):
+            PerceptionFrame("img", (det("a thing"),), (depth,))
 
     def test_ids_sorted_by_label_then_origin(self):
         records = (
